@@ -211,21 +211,12 @@ def _cmd_tree(args) -> tuple[dict, int]:
     elif method == "depth":
         reports["depth"] = tree.path_sum_depth_count(params)
     elif method == "all":
-        node_count = tree.TreeModel(params).node_count
-        skipped = []
         reports["depth"] = tree.path_sum_depth_count(params)
-        if node_count <= tree.EDGE_CONTRIB_NODE_CAP:
-            reports["edge"] = tree.path_sum_edge_contrib(params)
-        else:
-            skipped.append("edge")
-        if node_count <= args.pair_cap:
+        reports["edge"] = tree.path_sum_edge_contrib(params)
+        if tree.TreeModel(params).node_count <= args.pair_cap:
             reports["pair"] = tree.path_sum_pair_enum(params, cap=args.pair_cap)
         else:
-            skipped.append("pair")
-        if skipped:
-            results["note"] = (
-                f"skipped above node-count cap: {', '.join(skipped)}"
-            )
+            results["note"] = "skipped above node-count cap: pair"
 
     edge_count = closed_form.tree_edge_count(params)
     path_sum = closed_form.path_sum(params)

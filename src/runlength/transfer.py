@@ -7,19 +7,26 @@ m-1 symbols falls back to Start; drawing the marked symbol advances one
 state.  ``adjacency_matrix`` counts those moves with outgoing edges stored
 column-wise, and dividing by m turns move counts into probabilities.
 
-Everything in this module is exact rational arithmetic; the k-step
-completion probability and all moments come out as Fractions with no
-rounding at any stage.
+Everything in this module is exact; the k-step completion probability and
+all moments come out as Fractions with no rounding at any stage.
+``success_probability`` and the moments apply the walk matrix itself;
+``distribution`` runs the same walk on integer counts of live strings per
+run length, which takes O(1) integer operations per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from . import closed_form
+from .errors import DomainError, SizeCapError
 from .params import Params
 from .ratmat import RationalMatrix, matrix_times_column, row_times_matrix
+
+DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
 
 
 def adjacency_matrix(params: Params) -> RationalMatrix:
@@ -107,13 +114,14 @@ class DistributionTable:
     params: Params
     probs: tuple[tuple[int, Fraction], ...]
     tail: Fraction
+    _truncated_mean: Fraction = field(repr=False)
 
     def total_mass(self) -> Fraction:
         return self.tail + sum((p for _, p in self.probs), Fraction(0))
 
     def truncated_mean(self) -> Fraction:
         """Sum k * p_k over the emitted rows (a lower bound on the mean)."""
-        return sum((k * p for k, p in self.probs), Fraction(0))
+        return self._truncated_mean
 
     def mean_gap_bound(self, expectation: Fraction | int) -> Fraction:
         """Upper bound on the mean mass hidden in the tail.
@@ -127,27 +135,78 @@ class DistributionTable:
 
 
 def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
-    """Emit p_n, p_{n+1}, ... until the exact residual falls to tail_bound."""
+    """Emit p_n, p_{n+1}, ... until the exact residual falls to tail_bound.
+
+    Counts strings rather than probabilities.  After k symbols, ``alive``
+    of the m^k strings have no n-run yet and ``done`` of them complete one
+    at symbol k, so p_k = done / m^k and the residual is alive / m^k.  A
+    live string with trailing run j had run 0 exactly j symbols earlier,
+    so the ring ``restarts`` holds the live count for every run length
+    0..n-1: slot (k - j) mod n has run length j.  The slot leaving the
+    ring is the count at run n-1, which completes at the next symbol.
+    """
     tail_bound = Fraction(tail_bound)
     if not 0 < tail_bound < 1:
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound}")
-    w = transition_matrix(params)
-    n = params.n
-    state = _start_vector(n)
+    params.require_multi_symbol()
+    _refuse_oversized_table(params, tail_bound)
+    m, n = params.m, params.n
+    restarts = [1] + [0] * (n - 1)
+    alive = 1
+    power = 1  # m^k
+    weighted = 0  # sum of j * done_j * m^(k-j) over j <= k, by Horner
     probs: list[tuple[int, Fraction]] = []
-    residual = Fraction(1)
     k = 0
-    while residual > tail_bound:
+    while alive * tail_bound.denominator > tail_bound.numerator * power:
         k += 1
-        state = matrix_times_column(w, state)
-        p_k = state[-1]
-        residual -= p_k
+        slot = k % n
+        done = restarts[slot]
+        restarts[slot] = (m - 1) * alive
+        alive = m * alive - done
+        power *= m
+        weighted = weighted * m + k * done
         if k >= n:
-            probs.append((k, p_k))
+            probs.append((k, Fraction(done, power)))
         else:
-            assert p_k == 0, f"nonzero completion probability at step {k} < n"
-    assert residual >= 0
-    return DistributionTable(params=params, probs=tuple(probs), tail=residual)
+            assert done == 0, f"nonzero completion probability at step {k} < n"
+    assert alive >= 0
+    return DistributionTable(
+        params=params,
+        probs=tuple(probs),
+        tail=Fraction(alive, power),
+        _truncated_mean=Fraction(weighted, power),
+    )
+
+
+def _refuse_oversized_table(params: Params, tail_bound: Fraction) -> None:
+    """Raise SizeCapError when the table's exact strings would be too large.
+
+    The residual stays 1 for n - 1 steps and then shrinks by a factor of
+    about 1 - 1/E per step, E the mean, so about K = n + E * ln(1/tail)
+    rows are needed.  Row k's numerator and denominator have up to
+    k * log10(m) digits, so the rows print about K^2 * log10(m)
+    characters, and the last one must stay within the interpreter's limit
+    on digits per printed int (Python 3.10.7 and later).
+    """
+    m, n = params.m, params.n
+    log_inverse_tail = max(
+        0.0, math.log(tail_bound.denominator) - math.log(tail_bound.numerator)
+    )
+    try:
+        rows = n + closed_form.expectation(params) * log_inverse_tail
+    except OverflowError:  # the mean is beyond float range
+        rows = math.inf
+    digits = rows * math.log10(m)
+    size = rows * digits
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+    if size > DISTRIBUTION_CHAR_CAP or digits > digit_limit:
+        raise SizeCapError(
+            f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g} "
+            f"would print about {rows:.3g} rows and {size:.3g} characters of exact "
+            f"fractions, with numbers of up to {digits:.3g} digits; the caps are "
+            f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit:.6g} digits: "
+            "raise the tail bound"
+        )
 
 
 def expectation(params: Params) -> Fraction:

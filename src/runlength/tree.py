@@ -23,7 +23,6 @@ from .errors import DomainError, InvariantError, SizeCapError
 from .params import Params
 
 PAIR_ENUM_NODE_CAP = 2500
-EDGE_CONTRIB_NODE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,6 @@ def path_sum_edge_contrib(params: Params) -> TreeReport:
     """
     tree = TreeModel(params)
     m, n = params.m, params.n
-    if tree.node_count > EDGE_CONTRIB_NODE_CAP:
-        raise SizeCapError(
-            f"edge contribution capped at {EDGE_CONTRIB_NODE_CAP} nodes, "
-            f"got {tree.node_count}"
-        )
     # pairs_with_at_least[d]: ordered pairs whose shared path reaches depth d
     pairs_with_at_least = [0] * (n + 2)
     for d in range(1, n + 1):

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from runlength import closed_form
 from runlength.cli import main
+from runlength.params import Params
 
 
 def run_cli(capsys, *argv):
@@ -115,12 +117,19 @@ def test_tree_all_skips_pair_above_cap(capsys):
     assert env["results"]["methods_agree"] is True
 
 
-def test_tree_all_skips_edge_above_its_cap(capsys):
-    # 2^21 - 1 nodes: beyond both the pair and edge caps, depth still works
+def test_tree_all_runs_edge_above_pair_cap(capsys):
+    # 2^21 - 1 nodes: beyond the pair cap; the O(n) routes still run
     code, env = run_json(capsys, "tree", "2", "20", "--method", "all")
     assert code == 0
-    assert env["results"]["methods_used"] == ["depth", "closed"]
+    assert env["results"]["methods_used"] == ["depth", "edge", "closed"]
+    assert env["results"]["methods_agree"] is True
     assert env["results"]["path_sum"] == str(4 * 2**40 - 82 * 2**20 - 2)
+
+
+def test_tree_edge_method_has_no_node_cap(capsys):
+    code, env = run_json(capsys, "tree", "10", "7", "--method", "edge")
+    assert code == 0
+    assert env["results"]["path_sum"] == str(closed_form.path_sum(Params(10, 7)))
 
 
 # -------------------------------------------------------------------- verify
@@ -242,6 +251,13 @@ def test_distribution_mean_bound(capsys):
     truncated = Fraction(env["results"]["truncated_mean"])
     bound = Fraction(env["results"]["mean_gap_bound"])
     assert truncated <= 12 <= truncated + bound
+
+
+def test_distribution_refuses_oversized_table(capsys):
+    code, out, err = run_cli(capsys, "distribution", "2", "12")
+    assert code == 4
+    assert out == ""
+    assert "m=2, n=12" in err and "rows" in err
 
 
 def test_distribution_rejects_junk_tail(capsys):

@@ -1,14 +1,18 @@
 """Walk-matrix route: structure, exact inverses, distribution, moments."""
 
 import itertools
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from runlength.errors import DomainError
+from runlength.errors import DomainError, SizeCapError
 from runlength.params import Params
 from runlength.ratmat import RationalMatrix
-from runlength import transfer
+from runlength import closed_form, transfer
 
 
 # -------------------------------------------------------- brute-force oracle
@@ -194,6 +198,70 @@ def test_truncated_mean_within_tail_bound_of_expectation():
     mean = transfer.expectation(params)
     truncated = table.truncated_mean()
     assert truncated <= mean <= truncated + table.mean_gap_bound(mean)
+
+
+ROW_BUDGET = 400  # tables drawn below stay near this many rows, to keep Fraction sums fast
+DENSE_ROWS = 12  # rows per table compared with the dense-matrix walk
+
+
+@st.composite
+def cells_and_tails(draw):
+    """m in 2..9, n in 1..6 and a tail bound between 2^-1 and 10^-12.
+
+    The tail goes no deeper than about ROW_BUDGET rows, except that 2^-1
+    is always allowed: cells whose mean passes ROW_BUDGET / ln 2 get it.
+    """
+    params = Params(draw(st.integers(2, 9)), draw(st.integers(1, 6)))
+    deepest = ROW_BUDGET / closed_form.expectation(params)
+    log_inverse_tail = draw(
+        st.floats(math.log(2), max(math.log(2), min(deepest, 12 * math.log(10))))
+    )
+    tail = Fraction(math.exp(-log_inverse_tail)).limit_denominator(10**13)
+    return params, min(tail, Fraction(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells_and_tails())
+def test_distribution_properties(cell):
+    params, tail_bound = cell
+    try:
+        table = transfer.distribution(params, tail_bound)
+    except SizeCapError:
+        assert tail_bound == Fraction(1, 2)  # only cells too large even at 2^-1
+        return
+    assert table.tail <= tail_bound
+    assert table.total_mass() == 1
+    assert [k for k, _ in table.probs] == list(range(params.n, params.n + len(table.probs)))
+    for k, p in table.probs[:DENSE_ROWS]:
+        assert p == transfer.success_probability(params, k)
+    assert table.truncated_mean() == sum((k * p for k, p in table.probs), Fraction(0))
+    mean = closed_form.expectation(params)
+    truncated = table.truncated_mean()
+    assert truncated <= mean <= truncated + table.mean_gap_bound(mean)
+
+
+@pytest.mark.parametrize(
+    "m,n,bound",
+    [
+        (2, 12, Fraction(1, 10**6)),  # about 113k rows and 4e9 characters
+        (2, 2, Fraction(1, 10**100000)),
+        (2, 1100, Fraction(1, 2)),  # a mean beyond float range
+        # about 1000 rows of 6000-digit integers: under the character cap,
+        # past the interpreter's default limit of 4300 digits per printed int
+        (10**6, 1, Fraction(999, 1000)),
+    ],
+)
+def test_distribution_refuses_oversized_tables_up_front(m, n, bound):
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match=f"m={m}, n={n} .* characters"):
+        transfer.distribution(Params(m, n), bound)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (2, 8)])
+def test_distribution_cap_admits_large_tables(m, n):
+    table = transfer.distribution(Params(m, n), Fraction(1, 10**6))
+    assert table.tail <= Fraction(1, 10**6)
 
 
 # ------------------------------------------------------------------- moments
