@@ -12,6 +12,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +29,16 @@ from .params import Params
 from .simulate import simulate as run_trials
 
 MATRIX_CHECK_MAX_N = 8  # verify sweeps cap the matrix-route checks here
+
+# Fraction builds 10^|exponent| for a decimal exponent, which takes seconds
+# at ten million digits; beyond this many, --tail is judged before that.
+# Every cell refuses a tail below 10^-10000: with E >= m >= 2 it predicts
+# K >= 46000 rows and K^2 log10(m) > 6*10^8 characters.
+_TAIL_EXPONENT_CHECK = 10_000
+_SCIENTIFIC = re.compile(
+    r"\s*(?P<mantissa>[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+)
 
 SEQUENCES = {
     "A286778": "variance of the m=2 waiting time (equals its tree path sum)",
@@ -171,11 +183,9 @@ def _cmd_moments(args) -> tuple[dict, int]:
         report = closed_form.moment_report(params)
         closed_values = (report.expectation, report.second_moment, report.variance)
     if method in ("matrix", "both") and params.m >= 2:
-        matrix_values = (
-            transfer.expectation(params),
-            transfer.second_moment(params),
-            transfer.variance(params),
-        )
+        expectation = transfer.expectation(params)
+        second = transfer.second_moment(params)
+        matrix_values = (expectation, second, second - expectation**2)
     if method == "both":
         if params.m == 1:
             results["note"] = "matrix route skipped for m = 1; closed form used"
@@ -264,9 +274,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
             )
             matrix_ok = None
             if m >= 2 and n <= args.matrix_cap:
+                matrix_expectation = transfer.expectation(params)
                 matrix_ok = (
-                    transfer.expectation(params) == expectation
-                    and transfer.variance(params) == variance
+                    matrix_expectation == expectation
+                    and transfer.second_moment(params) - matrix_expectation**2
+                    == variance
                 )
             ok = closed_ok and matrix_ok is not False
             failures += 0 if ok else 1
@@ -316,7 +328,7 @@ def _cmd_sequence(args) -> tuple[dict, int]:
 def _cmd_distribution(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
     params.require_multi_symbol()
-    tail_bound = _parse_fraction(args.tail, "--tail")
+    tail_bound = _parse_tail(args.tail, params)
     table = transfer.distribution(params, tail_bound)
     expectation = closed_form.expectation(params)
     truncated_mean = table.truncated_mean()
@@ -501,6 +513,30 @@ def _render_table(envelope: dict) -> str:
 
 def _exact_str(value) -> str:
     return str(value)
+
+
+def _parse_tail(text: str, params: Params) -> Fraction:
+    """The --tail bound as a Fraction.
+
+    A decimal with a huge exponent is judged from its exponent and its
+    mantissa first, without building 10^exponent: below
+    10^-_TAIL_EXPONENT_CHECK the table is refused (exit 4), and a value
+    that is not positive or is far above 1 is rejected (exit 2).
+    """
+    match = _SCIENTIFIC.fullmatch(text)
+    exponent = 0.0 if match is None else float(match["exponent"])  # inf if huge
+    if abs(exponent) > _TAIL_EXPONENT_CHECK:
+        mantissa = _parse_fraction(match["mantissa"], "--tail")
+        if mantissa <= 0:
+            raise DomainError(f"--tail must be in (0, 1), got {text!r}")
+        log10_tail = (
+            exponent + math.log10(mantissa.numerator) - math.log10(mantissa.denominator)
+        )
+        if log10_tail > _TAIL_EXPONENT_CHECK:
+            raise DomainError(f"--tail must be in (0, 1), got {text!r}")
+        if log10_tail < -_TAIL_EXPONENT_CHECK:
+            transfer.refuse_oversized_table(params, -log10_tail * math.log(10))
+    return _parse_fraction(text, "--tail")
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:

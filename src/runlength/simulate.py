@@ -5,18 +5,17 @@ generator.  Trials are split into fixed blocks of ``BLOCK_TRIALS``; block
 b uses the Philox stream keyed by (seed, b), and the trials of a block
 consume that stream's 64-bit words in order (rejection redraws included).
 Results are therefore bitwise identical for a given (params, trials,
-seed), no matter how many workers evaluate the blocks.
+seed).
+
+numpy is imported inside ``SymbolStream`` only, so the rest of the package
+starts without it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, InvariantError
 from .params import Params
@@ -25,7 +24,6 @@ BLOCK_TRIALS = 8192
 _CHUNK_WORDS = 16384
 _WORD_RANGE = 1 << 64
 _STEP_CAP = 1 << 63
-_THREADS_ENV_VAR = "RUNLENGTH_THREADS"
 
 
 class SymbolStream:
@@ -37,6 +35,8 @@ class SymbolStream:
     """
 
     def __init__(self, alphabet_size: int, seed: int, stream_index: int = 0):
+        import numpy as np
+
         if alphabet_size < 1:
             raise DomainError(f"alphabet size must be >= 1, got {alphabet_size}")
         self.alphabet_size = alphabet_size
@@ -106,41 +106,17 @@ class SimReport:
 
 
 def simulate(params: Params, trials: int, seed: int) -> SimReport:
-    """Run ``trials`` independent generations and summarize their lengths.
-
-    Worker count is capped by the ``RUNLENGTH_THREADS`` environment
-    variable (default 1); the block layout makes the report identical
-    either way.
-    """
+    """Run ``trials`` independent generations and summarize their lengths."""
     if trials < 2:
         raise DomainError(
             f"at least 2 trials are needed for a sample variance, got {trials}"
         )
-    blocks = [
-        (index, min(BLOCK_TRIALS, trials - start))
-        for index, start in enumerate(range(0, trials, BLOCK_TRIALS))
-    ]
-
-    def run_block(block: tuple[int, int]) -> dict[int, int]:
-        index, count = block
+    histogram: dict[int, int] = {}
+    for index, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         stream = SymbolStream(params.m, seed, stream_index=index)
-        histogram: dict[int, int] = {}
-        for _ in range(count):
+        for _ in range(min(BLOCK_TRIALS, trials - start)):
             length = generate_one(params, stream)
             histogram[length] = histogram.get(length, 0) + 1
-        return histogram
-
-    workers = _worker_count()
-    if workers == 1:
-        partials = [run_block(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, blocks))
-
-    histogram: dict[int, int] = {}
-    for partial in partials:  # fixed merge order: ascending block index
-        for length, count in partial.items():
-            histogram[length] = histogram.get(length, 0) + count
     assert sum(histogram.values()) == trials
 
     # exact integer sums first, one correctly-rounded division at the end,
@@ -162,12 +138,3 @@ def simulate(params: Params, trials: int, seed: int) -> SimReport:
         max_len=max(histogram),
         histogram=dict(sorted(histogram.items())),
     )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(_THREADS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, workers)

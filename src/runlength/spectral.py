@@ -17,8 +17,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, InvariantError
 from .params import Params
 from .ratmat import RationalMatrix
@@ -169,6 +167,8 @@ def spectral_radius_estimate(
     driven well below ``tol`` so it can be compared against
     |dominant root| / m at that tolerance.
     """
+    import numpy as np
+
     w = np.array(transition_matrix(params).to_floats(), dtype=np.float64)
     vector = np.ones(w.shape[0])
     vector /= np.linalg.norm(vector)

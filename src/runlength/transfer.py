@@ -149,7 +149,9 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
     if not 0 < tail_bound < 1:
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound}")
     params.require_multi_symbol()
-    _refuse_oversized_table(params, tail_bound)
+    refuse_oversized_table(
+        params, math.log(tail_bound.denominator) - math.log(tail_bound.numerator)
+    )
     m, n = params.m, params.n
     restarts = [1] + [0] * (n - 1)
     alive = 1
@@ -178,8 +180,9 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
     )
 
 
-def _refuse_oversized_table(params: Params, tail_bound: Fraction) -> None:
-    """Raise SizeCapError when the table's exact strings would be too large.
+def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
+    """Raise SizeCapError when the table down to a tail bound of
+    exp(-log_inverse_tail) would print too large exact strings.
 
     The residual stays 1 for n - 1 steps and then shrinks by a factor of
     about 1 - 1/E per step, E the mean, so about K = n + E * ln(1/tail)
@@ -189,9 +192,7 @@ def _refuse_oversized_table(params: Params, tail_bound: Fraction) -> None:
     on digits per printed int (Python 3.10.7 and later).
     """
     m, n = params.m, params.n
-    log_inverse_tail = max(
-        0.0, math.log(tail_bound.denominator) - math.log(tail_bound.numerator)
-    )
+    log_inverse_tail = max(0.0, log_inverse_tail)
     try:
         rows = n + closed_form.expectation(params) * log_inverse_tail
     except OverflowError:  # the mean is beyond float range

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .closed_form import geometric_sum
 from .errors import DomainError, InvariantError, SizeCapError
 from .params import Params
@@ -120,6 +118,8 @@ def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeRep
             f"pair enumeration over {v} nodes exceeds the cap of {cap}; "
             "use the edge-contribution or depth-count method instead"
         )
+    import numpy as np
+
     n = params.n
     chains = [tree.ancestors(node) for node in range(v)]
     at_depth = np.full((n + 1, v), -1, dtype=np.int64)

@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import runlength
 from runlength import closed_form
 from runlength.cli import main
 from runlength.params import Params
@@ -74,7 +80,7 @@ def test_moments_bad_params_exit_2(capsys):
 def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
     from runlength import cli
 
-    monkeypatch.setattr(cli.transfer, "variance", lambda params: 999)
+    monkeypatch.setattr(cli.transfer, "second_moment", lambda params: 999)
     code, _, err = run_cli(capsys, "moments", "2", "2", "--method", "both")
     assert code == 3
     assert "disagree" in err
@@ -260,6 +266,40 @@ def test_distribution_refuses_oversized_table(capsys):
     assert "m=2, n=12" in err and "rows" in err
 
 
+@pytest.mark.parametrize(
+    "tail, code, named",
+    [
+        ("1e-10000000", 4, "m=2, n=2 with tail 10^-1e+07"),
+        ("1e10000000", 2, "(0, 1), got '1e10000000'"),
+        ("0e-10000000", 2, "(0, 1), got '0e-10000000'"),
+        ("-1e-10000000", 2, "(0, 1), got '-1e-10000000'"),
+    ],
+)
+def test_distribution_judges_huge_tail_exponent_at_once(capsys, tail, code, named):
+    # Fraction(tail) alone would build 10^10000000, about 12 s
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "distribution", "2", "2", f"--tail={tail}")
+    assert time.perf_counter() - start < 1.0
+    assert (got, out) == (code, "")
+    assert named in err
+
+
+def test_distribution_huge_tail_exponent_with_long_mantissa_is_admitted(capsys):
+    # 1 followed by 10005 zeros, times 10^-10010, is 10^-5; a mantissa that
+    # long parses only with the interpreter's int-to-str digit limit lifted
+    tail = "1" + "0" * 10005 + "e-10010"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        huge = run_cli(capsys, "distribution", "2", "3", "--tail", tail)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert huge == run_cli(capsys, "distribution", "2", "3", "--tail", "1e-5")
+    assert huge[0] == 0
+
+
 def test_distribution_rejects_junk_tail(capsys):
     code, _, err = run_cli(capsys, "distribution", "2", "2", "--tail", "lots")
     assert code == 2
@@ -346,3 +386,25 @@ def test_csv_scalar_fallback(capsys):
     assert code == 0
     rows = {r["field"]: r["value"] for r in csv.DictReader(io.StringIO(out))}
     assert rows["expectation"] == "6"
+
+
+# ------------------------------------------------------------------ start-up
+
+
+def test_commands_without_the_simulator_never_import_numpy_or_threads():
+    code = (
+        "import contextlib, io, sys\n"
+        "import runlength, runlength.cli\n"
+        "for argv in (['distribution', '4', '2', '--tail', '1e-9'], ['moments', '3', '5'],\n"
+        "             ['verify', '3', '4'], ['sequence', 'A286778', '10']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert runlength.cli.main(argv) == 0, argv\n"
+        "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    source_root = str(Path(runlength.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=source_root)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

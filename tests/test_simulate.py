@@ -69,12 +69,6 @@ def test_simulate_worker_count_does_not_change_results(monkeypatch):
     assert simulate(Params(3, 2), trials=20000, seed=31) == base
 
 
-def test_simulate_rejects_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("RUNLENGTH_THREADS", "many")
-    with pytest.raises(DomainError):
-        simulate(Params(2, 2), trials=100, seed=1)
-
-
 def test_simulate_report_invariants():
     params = Params(3, 2)
     report = simulate(params, trials=5000, seed=2024)
