@@ -108,25 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="counting route; 'all' cross-checks every available one (default)",
     )
-    tree_cmd.add_argument(
-        "--pair-cap",
-        type=int,
-        default=tree.PAIR_ENUM_NODE_CAP,
-        help="node-count cap for pair enumeration "
-        f"(default: {tree.PAIR_ENUM_NODE_CAP})",
-    )
     tree_cmd.set_defaults(handler=_cmd_tree)
 
     verify = add("verify", "sweep the moment/tree identities over a parameter grid")
     verify.add_argument("m_max", type=int)
     verify.add_argument("n_max", type=int)
-    verify.add_argument(
-        "--matrix-cap",
-        type=int,
-        default=MATRIX_CHECK_MAX_N,
-        help="largest n at which the matrix route is cross-checked "
-        f"(default: {MATRIX_CHECK_MAX_N})",
-    )
     verify.set_defaults(handler=_cmd_verify)
 
     sequence = add("sequence", "emit integer sequences with cross-checked terms")
@@ -147,12 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = add("spectrum", "characteristic roots, strict bound, spectral radius")
     spectrum.add_argument("m", type=int)
     spectrum.add_argument("n", type=int)
-    spectrum.add_argument(
-        "--tol",
-        type=float,
-        default=spectral.ROOT_RESIDUAL_TOL,
-        help=f"root residual tolerance (default: {spectral.ROOT_RESIDUAL_TOL})",
-    )
     spectrum.set_defaults(handler=_cmd_spectrum)
 
     sim = add("simulate", "seeded Monte Carlo estimate of the moments")
@@ -177,6 +157,10 @@ def _cmd_moments(args) -> tuple[dict, int]:
             "deterministic -- use --method closed, which returns "
             f"mean {params.n} and variance 0 directly"
         )
+    transfer.refuse_unprintable(  # the second moment is the largest value
+        f"moments at m={params.m}, n={params.n}",
+        math.log10(2) + closed_form.log10_bound(params, over=2),
+    )
     results: dict = {"method": method}
     exactness: dict = {}
     if method in ("closed", "both"):
@@ -210,12 +194,15 @@ def _cmd_moments(args) -> tuple[dict, int]:
 
 def _cmd_tree(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
+    transfer.refuse_unprintable(
+        f"tree at m={params.m}, n={params.n}", closed_form.log10_bound(params, over=3)
+    )
     method = args.method
     results: dict = {"method": method}
     exactness = {"edge_count": "exact", "path_sum": "exact", "per_depth": "exact"}
     reports = {}
     if method == "pair":
-        reports["pair"] = tree.path_sum_pair_enum(params, cap=args.pair_cap)
+        reports["pair"] = tree.path_sum_pair_enum(params)
     elif method == "edge":
         reports["edge"] = tree.path_sum_edge_contrib(params)
     elif method == "depth":
@@ -223,8 +210,8 @@ def _cmd_tree(args) -> tuple[dict, int]:
     elif method == "all":
         reports["depth"] = tree.path_sum_depth_count(params)
         reports["edge"] = tree.path_sum_edge_contrib(params)
-        if tree.TreeModel(params).node_count <= args.pair_cap:
-            reports["pair"] = tree.path_sum_pair_enum(params, cap=args.pair_cap)
+        if tree.TreeModel(params).node_count <= tree.PAIR_ENUM_NODE_CAP:
+            reports["pair"] = tree.path_sum_pair_enum(params)
         else:
             results["note"] = "skipped above node-count cap: pair"
 
@@ -273,7 +260,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 and variance == (m - 1) * closed_form.path_sum(params)
             )
             matrix_ok = None
-            if m >= 2 and n <= args.matrix_cap:
+            if m >= 2 and n <= MATRIX_CHECK_MAX_N:
                 matrix_expectation = transfer.expectation(params)
                 matrix_ok = (
                     matrix_expectation == expectation
@@ -298,6 +285,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_sequence(args) -> tuple[dict, int]:
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
+    if args.name == "T-m2":  # terms 2^(n+1) - 2; min keeps the product a float
+        log10_largest = (min(args.count, sys.maxsize) + 1) * math.log10(2)
+    else:  # the m = 2 path sums
+        log10_largest = closed_form.log10_bound(Params(2, args.count), over=3)
+    transfer.refuse_unprintable(f"sequence {args.name} with {args.count} terms", log10_largest)
     terms = []
     for n in range(1, args.count + 1):
         if args.name == "A286778":
@@ -366,7 +358,7 @@ def _cmd_distribution(args) -> tuple[dict, int]:
 def _cmd_spectrum(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
     params.require_multi_symbol()
-    report = spectral.verify_root_bound(params, tol=args.tol)
+    report = spectral.verify_root_bound(params)
     rho_from_roots = report.max_modulus / params.m
     results = {
         "char_coeffs": list(report.char_coeffs),

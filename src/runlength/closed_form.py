@@ -13,6 +13,8 @@ at m = 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
@@ -86,6 +88,20 @@ def path_sum(params: Params) -> int:
     value = _exact_div(m * _moment_bracket(m, n), (m - 1) ** 3)
     assert value >= 0
     return value
+
+
+def log10_bound(params: Params, over: int) -> float:
+    """log10 of m^(2n+2) / (m-1)^over, or of (n+1)^over at m = 1, in floats.
+
+    At over = 3 it bounds path_sum and at over = 2 half of second_moment:
+    their brackets are below m^(2n+1) and 2 m^(2n+1), and at m = 1 they are
+    n(n+1)(2n+1)/6 and n^2.
+    """
+    m, n = params.m, params.n
+    if m == 1:
+        return over * math.log10(n + 1)
+    # min keeps the product a float; past it every cell is refused anyway
+    return (2 * min(n, sys.maxsize) + 2) * math.log10(m) - over * math.log10(m - 1)
 
 
 def _moment_bracket(m: int, n: int) -> int:

@@ -7,7 +7,6 @@ there is no rounding anywhere in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,11 +50,6 @@ class RationalMatrix:
                 for i in range(size)
             )
         )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls(tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -150,10 +144,6 @@ class RationalMatrix:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
                 inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
         return RationalMatrix.from_rows(inv)
-
-    def frobenius_norm(self) -> float:
-        """Float Frobenius norm of the exact entries."""
-        return math.sqrt(sum(float(x) * float(x) for row in self.entries for x in row))
 
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.entries]

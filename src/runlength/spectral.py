@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InvariantError
 from .params import Params
-from .ratmat import RationalMatrix
 from .transfer import transition_matrix
 
 ROOT_RESIDUAL_TOL = 1e-9
@@ -189,32 +188,6 @@ def spectral_radius_estimate(
     raise ConvergenceError(
         f"power iteration did not settle within {_MAX_ITERATIONS} steps at {params}"
     )
-
-
-def frobenius_growth_check(
-    params: Params, max_power: int, tol: float = 1e-3
-) -> bool:
-    """Confirm ||W^k||_F decays geometrically at rate |dominant root| / m.
-
-    Computes exact powers W^k for k = 1..max_power, fits the decay ratio on
-    the second half of the norm sequence, and accepts when the fitted ratio
-    is at most the spectral-radius prediction plus ``tol``.  A False return
-    flags a discrepancy for investigation; it never raises.
-    """
-    if max_power < 1:
-        raise DomainError(f"max_power must be >= 1, got {max_power}")
-    rho = max(abs(z) for z in find_roots(char_poly(params))) / params.m
-    w = transition_matrix(params)
-    # norms[k] = ||W^k||_F, with k = 0 anchoring the identity
-    norms = [RationalMatrix.identity(w.rows).frobenius_norm()]
-    power = w
-    for _ in range(max_power):
-        norms.append(power.frobenius_norm())
-        power = power @ w
-    anchor = max_power // 2  # fit on the second half, past the transient
-    window = max_power - anchor
-    fitted_ratio = (norms[max_power] / norms[anchor]) ** (1.0 / window)
-    return fitted_ratio <= rho + tol
 
 
 def _eval_int_poly(coeffs: list[int], x: int) -> int:

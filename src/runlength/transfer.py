@@ -9,9 +9,10 @@ column-wise, and dividing by m turns move counts into probabilities.
 
 Everything in this module is exact; the k-step completion probability and
 all moments come out as Fractions with no rounding at any stage.
-``success_probability`` and the moments apply the walk matrix itself;
-``distribution`` runs the same walk on integer counts of live strings per
-run length, which takes O(1) integer operations per step.
+``success_probability`` applies the walk matrix itself.  The moments solve
+the walk's first-step equations and ``distribution`` runs the walk on
+integer counts of live strings per run length; both take O(1) integer
+operations per state or step and build no matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from fractions import Fraction
 from . import closed_form
 from .errors import DomainError, SizeCapError
 from .params import Params
-from .ratmat import RationalMatrix, matrix_times_column, row_times_matrix
+from .ratmat import RationalMatrix, matrix_times_column
+from .ratmat import row_times_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
 
@@ -199,7 +201,7 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
         rows = math.inf
     digits = rows * math.log10(m)
     size = rows * digits
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+    digit_limit = _print_digit_limit()
     if size > DISTRIBUTION_CHAR_CAP or digits > digit_limit:
         raise SizeCapError(
             f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g} "
@@ -210,39 +212,64 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
         )
 
 
-def expectation(params: Params) -> Fraction:
-    """Exact mean waiting time via the matrix form.
+def refuse_unprintable(subject: str, log10_largest: float) -> None:
+    """Raise SizeCapError when the largest integer a result prints, about
+    10^log10_largest, has more digits than the interpreter prints per int."""
+    digit_limit = _print_digit_limit()
+    if log10_largest >= digit_limit:  # an integer has floor(log10) + 1 digits
+        raise SizeCapError(
+            f"{subject} would print integers of about {log10_largest + 1:.0f} digits, "
+            f"past the interpreter's limit of {digit_limit:.6g} digits per printed integer"
+        )
 
-    Evaluates  finish_row . W . (I-W)^{-1} . (I-W)^{-1} . start_col  as a
-    chain of row-vector times matrix products, left to right.
-    """
-    w = transition_matrix(params)
-    inv = fundamental_inverse(params)
-    vec = _finish_row(params.n)
-    for matrix in (w, inv, inv):
-        vec = row_times_matrix(vec, matrix)
-    return vec[0]
+
+def _print_digit_limit() -> float:
+    # digits per printed int (Python 3.10.7 and later); inf where unlimited
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+
+
+def expectation(params: Params) -> Fraction:
+    """Exact mean waiting time, by first-step analysis on the walk."""
+    return _first_step_moments(params)[0]
 
 
 def second_moment(params: Params) -> Fraction:
-    """Exact second moment: finish_row . W . (I+W) . (I-W)^{-3} . start_col."""
-    w = transition_matrix(params)
-    inv = fundamental_inverse(params)
-    eye_plus_w = RationalMatrix.identity(w.rows) + w
-    vec = _finish_row(params.n)
-    for matrix in (w, eye_plus_w, inv, inv, inv):
-        vec = row_times_matrix(vec, matrix)
-    return vec[0]
+    """Exact second moment of the waiting time, by first-step analysis."""
+    return _first_step_moments(params)[1]
 
 
 def variance(params: Params) -> Fraction:
     """Exact variance of the waiting time (second moment minus mean squared)."""
-    return second_moment(params) - expectation(params) ** 2
+    mean, second = _first_step_moments(params)
+    return second - mean**2
+
+
+def _first_step_moments(params: Params) -> tuple[Fraction, Fraction]:
+    """Mean and second moment by first-step analysis on the walk's 2n moves.
+
+    With p = 1/m and q = 1 - p, the mean remaining time h_j from run length
+    j solves h_j = 1 + p h_{j+1} + q h_0, and its second moment g_j solves
+    g_j = 2 h_j - 1 + p g_{j+1} + q g_0, with h_n = g_n = 0.  Each system
+    x_j = c_j + p x_{j+1} + q x_0 is solved backward as x_j = a_j + b_j x_0;
+    scaled by s_j = m^(n-j), A_j = s_j c_j + A_{j+1} and
+    B_j = (m-1) m^(n-j-1) + B_{j+1} are integers and x_0 = A_0 / (s_0 - B_0).
+    A_0 is the sum of the s_j c_j, and for g, s_j c_j = 2 (A_j + B_j h_0) - s_j.
+    """
+    params.require_multi_symbol()
+    m, n = params.m, params.n
+    scale, a_h, b = 1, 0, 0  # s_j, A_j of h and B_j, from j = n down
+    sum_a = sum_b = 0
+    for _ in range(n):
+        b += (m - 1) * scale
+        scale *= m
+        a_h += scale
+        sum_a += a_h
+        sum_b += b
+    pivot = scale - b  # s_0 (1 - b_0)
+    mean = Fraction(a_h, pivot)
+    second = (2 * (sum_a + sum_b * mean) - a_h) / pivot  # A_0 of g, sum s_j = A_0 of h
+    return mean, second
 
 
 def _start_vector(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(i == 0)) for i in range(n + 1))
-
-
-def _finish_row(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(i == n)) for i in range(n + 1))

@@ -192,9 +192,8 @@ def test_criterion_07_commutativity():
                 assert eye_plus_w @ inv == inv @ eye_plus_w
 
 
-def test_criterion_08_monte_carlo(monkeypatch):
+def test_criterion_08_monte_carlo():
     with criterion(8, "seeded 10^6-trial run: bands, bitwise rerun, < 30 s"):
-        monkeypatch.delenv("RUNLENGTH_THREADS", raising=False)
         started = time.perf_counter()
         buffer_one = io.StringIO()
         with redirect_stdout(buffer_one):

@@ -86,6 +86,23 @@ def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
+@pytest.mark.parametrize(
+    "argv,subject",
+    [
+        ("moments 2 20000 --method closed", "moments at m=2, n=20000"),
+        ("tree 2 20000 --method edge", "tree at m=2, n=20000"),
+        ("sequence A286778 8000", "sequence A286778 with 8000 terms"),
+    ],
+)
+def test_results_past_the_print_digit_limit_exit_4_up_front(capsys, argv, subject):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert subject in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
+
+
 # ---------------------------------------------------------------------- tree
 
 
@@ -157,14 +174,38 @@ def test_verify_single_symbol_column(capsys):
     assert all(cell["matrix_ok"] is None for cell in env["results"]["cells"])
 
 
-def test_verify_matrix_cap_flag(capsys):
-    code, env = run_json(capsys, "verify", "3", "10", "--matrix-cap", "2")
+def test_verify_checks_matrix_route_up_to_constant_cap(capsys):
+    code, env = run_json(capsys, "verify", "3", "10")
     assert code == 0
     for cell in env["results"]["cells"]:
-        if cell["m"] >= 2 and cell["n"] <= 2:
-            assert cell["matrix_ok"] is True
-        else:
+        if cell["m"] == 1 or cell["n"] > 8:
             assert cell["matrix_ok"] is None
+        else:
+            assert cell["matrix_ok"] is True
+
+
+# the moments and verify commands of the benchmark's cell-routes workload
+CELL_ROUTES_MOMENTS_AND_VERIFY = (
+    "moments 2 30 --method both --format json",
+    "moments 2 20 --method both",
+    "moments 3 20 --method both --format json",
+    "moments 5 12 --method both",
+    "moments 7 25 --method both --format csv",
+    "verify 4 6",
+    "verify 6 8 --format json",
+)
+
+
+def test_moments_and_verify_need_no_matrix_inverse(capsys, monkeypatch):
+    from runlength import ratmat
+
+    def refuse(self):
+        raise AssertionError("Gauss-Jordan inversion reached")
+
+    monkeypatch.setattr(ratmat.RationalMatrix, "inverse", refuse)
+    for argv in CELL_ROUTES_MOMENTS_AND_VERIFY:
+        code, _, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
 
 
 def test_verify_reports_failures_with_exit_3(capsys, monkeypatch):

