@@ -9,7 +9,6 @@ cross-verifies every value by independent routes.
 
 from .closed_form import MomentReport, a286778, moment_report, tree_edge_count_m2
 from .params import Params
-from .ratmat import RationalMatrix
 from .simulate import SimReport, simulate
 from .spectral import RootReport, verify_root_bound
 from .transfer import DistributionTable, distribution
@@ -21,7 +20,6 @@ __all__ = [
     "DistributionTable",
     "MomentReport",
     "Params",
-    "RationalMatrix",
     "RootReport",
     "SimReport",
     "TreeModel",

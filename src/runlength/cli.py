@@ -386,6 +386,7 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
         "max_modulus": "float",
         "margin": "float",
         "rho_estimate": "float",
+        "bound_ok": "exact",
     }
     return _envelope("spectrum", params, results, exactness), 0
 

@@ -1,8 +1,8 @@
-"""Dense matrices over exact rationals.
+"""Dense matrices over exact rationals, the tests' reference for the walk.
 
 Entries are ``fractions.Fraction`` values (arbitrary-precision, always in
 lowest terms, positive denominator), so every operation here is exact:
-there is no rounding anywhere in this module.
+there is no rounding anywhere in this module.  No command builds one.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -107,12 +105,6 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col) for col in zip(*self.entries))
-
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination.
 
@@ -144,9 +136,6 @@ class RationalMatrix:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
                 inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
         return RationalMatrix.from_rows(inv)
-
-    def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.entries]
 
 
 def row_times_matrix(

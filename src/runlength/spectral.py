@@ -1,29 +1,36 @@
-"""Floating-point checks on the walk matrix spectrum.
+"""The walk matrix spectrum: an exact root bound, float roots for display.
 
 The run-length recurrence has characteristic polynomial
 x^n - (m-1)(x^{n-1} + ... + 1); multiplying by (x - 1) turns it into
-x^n (m - x) - (m - 1).  All of its roots have modulus strictly below m,
-which makes the spectral radius of the probability matrix W strictly
-below 1.  This module verifies those facts numerically: it finds all the
-roots, measures the margin to m, and compares |dominant root| / m with a
-power-iteration estimate of the spectral radius.
+x^n (m - x) - (m - 1).  By Descartes' rule of signs the characteristic
+polynomial has exactly one positive root R, by Cauchy's bound R bounds
+the modulus of every root, and the polynomial equals exactly 1 at x = m,
+so every root has modulus strictly below m and the spectral radius of
+the probability matrix W is strictly below 1.  ``verify_root_bound``
+certifies that bound with one exact integer evaluation.
 
-This is the only module where floats appear; every reported root carries
-a residual so the accuracy claim is checkable.
+Floats appear only for display, and no float can veto the exact bound:
+Aberth refinement finds every root with a residual so its accuracy is
+checkable, and power iteration on the walk's 2n moves estimates the
+spectral radius for comparison with |dominant root| / m.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, InvariantError
+from .errors import ConvergenceError, DomainError, InvariantError, SizeCapError
 from .params import Params
-from .transfer import transition_matrix
+from .transfer import transition_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 ROOT_RESIDUAL_TOL = 1e-9
 RADIUS_AGREEMENT_TOL = 1e-6
-_MAX_ITERATIONS = 10_000
+SPECTRUM_MAX_N = 150  # an Aberth sweep costs O(n^2); 700 of them at n = 150 take about 8 s
+_FLOAT_MAX_LOG10 = 308  # the residual bound's |z|^(n+1) must stay a finite float
+_ABERTH_SWEEPS = 700  # twice the most sweeps an admitted cell was seen to need (298)
+_POWER_ITERATIONS = 10_000
 
 
 def char_poly(params: Params) -> list[int]:
@@ -63,8 +70,9 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
     Simultaneous Aberth refinement started from a deterministic circle of
     radius 1 + max|c_i| / |c_lead|.  Success means every root's residual
     satisfies |p(z)| <= tol * (1 + |z|^(deg+1)); otherwise the iteration
-    keeps going until a fixed budget and then fails loudly.  Output is
-    sorted by (real, imag), so it is deterministic given (coeffs, tol).
+    keeps going until a fixed budget of sweeps runs out or a root leaves
+    float range, and then fails loudly.  Output is sorted by (real, imag),
+    so it is deterministic given (coeffs, tol).
     """
     if len(coeffs) < 2:
         raise DomainError("polynomial degree must be at least 1")
@@ -82,7 +90,7 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
         for k in range(degree)
     ]
     refine_stop = max(tol * 1e-2, 1e-13) * max(1.0, radius)
-    for _ in range(_MAX_ITERATIONS):
+    for sweeps in range(1, _ABERTH_SWEEPS + 1):
         max_step = 0.0
         for i in range(degree):
             z = roots[i]
@@ -99,14 +107,14 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
             roots[i] = z - step
             max_step = max(max_step, abs(step))
         if max_step < refine_stop and _residuals_ok(coeffs, roots, tol):
-            break
-    else:
-        worst = max(_residuals(coeffs, roots))
-        raise ConvergenceError(
-            f"root refinement exhausted {_MAX_ITERATIONS} iterations; "
-            f"worst residual {worst:.3e}"
-        )
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+            return sorted(roots, key=lambda z: (z.real, z.imag))
+        if not all(map(cmath.isfinite, roots)):
+            break  # one root past float range turns every root to nan
+    worst = max(_residuals(coeffs, roots))
+    raise ConvergenceError(
+        f"root refinement stopped after {sweeps} of {_ABERTH_SWEEPS} sweeps; "
+        f"worst residual {worst:.3e}"
+    )
 
 
 @dataclass(frozen=True)
@@ -125,34 +133,42 @@ class RootReport:
 
 
 def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootReport:
-    """Check every characteristic root has modulus strictly below m.
+    """Certify that every characteristic root has modulus strictly below m.
 
-    A failed bound would contradict the convergence guarantee for the
+    The characteristic polynomial must be positive at m (it equals 1
+    there).  A failure would contradict the convergence guarantee for the
     matrix geometric series, so it raises rather than returning a report.
-    The margin itself can be legitimately tiny: the dominant root sits
-    about (m-1)/m^n below m, so callers that need a minimum margin must
-    threshold the reported value themselves.
+    The roots, ``max_modulus`` and ``margin`` are floats for display: the
+    dominant root sits about (m-1)/m^n below m, so the float margin can
+    round to 0 where the bound holds.  Cells past the root-finding caps are
+    refused before any root is sought.
     """
-    coeffs = char_poly(params)
-    roots = find_roots(coeffs, tol)
-    residuals = _residuals(coeffs, roots)
-    max_modulus = max(abs(z) for z in roots)
-    margin = params.m - max_modulus
-    if margin <= 0:
-        raise InvariantError(
-            f"root bound violated at {params}: max |root| = {max_modulus!r} "
-            f"is not strictly below m = {params.m}"
+    params.require_multi_symbol()
+    m, n = params.m, params.n
+    if n > SPECTRUM_MAX_N or (n + 1) * math.log10(m) > _FLOAT_MAX_LOG10:
+        raise SizeCapError(
+            f"spectrum at m={m}, n={n} is refused: root finding needs n <= "
+            f"{SPECTRUM_MAX_N} and m^(n+1) <= 10^{_FLOAT_MAX_LOG10}"
         )
+    coeffs = char_poly(params)
+    at_m = _eval_int_poly(coeffs, m)
+    if at_m <= 0:
+        raise InvariantError(
+            f"root bound violated at {params}: the characteristic polynomial "
+            f"is {at_m} at m = {m}, not positive"
+        )
+    roots = find_roots(coeffs, tol)
+    max_modulus = max(abs(z) for z in roots)
     return RootReport(
         params=params,
         char_coeffs=tuple(coeffs),
         transformed_coeffs=tuple(transformed_poly(params)),
         roots=tuple(roots),
-        residuals=tuple(residuals),
+        residuals=tuple(_residuals(coeffs, roots)),
         max_modulus=max_modulus,
-        margin=margin,
+        margin=m - max_modulus,
         rho_estimate=spectral_radius_estimate(params),
-        rho_bound_ok=margin > 0,
+        rho_bound_ok=at_m > 0,
     )
 
 
@@ -161,32 +177,35 @@ def spectral_radius_estimate(
 ) -> float:
     """Power-iteration estimate of the spectral radius of W.
 
-    Starts from a strictly positive vector, which always overlaps the
-    dominant eigendirection of this nonnegative matrix.  The estimate is
-    driven well below ``tol`` so it can be compared against
-    |dominant root| / m at that tolerance.
+    W has 2n nonzero moves: each live state j < n sends (m-1)/m of its mass
+    to Start and 1/m to state j+1, so the image of v has entry
+    (m-1)/m * sum(v_j, j < n) at Start and v_j / m at j+1.  Starts from a
+    strictly positive vector, which always overlaps the dominant
+    eigendirection of this nonnegative matrix.  The estimate is driven well
+    below ``tol`` so it can be compared against |dominant root| / m at that
+    tolerance.
     """
-    import numpy as np
-
-    w = np.array(transition_matrix(params).to_floats(), dtype=np.float64)
-    vector = np.ones(w.shape[0])
-    vector /= np.linalg.norm(vector)
+    params.require_multi_symbol()
+    m, n = params.m, params.n
+    restart, advance = (m - 1) / m, 1 / m
+    vector = [1 / math.sqrt(n + 1)] * (n + 1)
     estimate = 0.0
     settle = tol * 1e-3
-    for _ in range(_MAX_ITERATIONS):
-        image = w @ vector
-        previous, estimate = estimate, float(np.linalg.norm(image))
+    for _ in range(_POWER_ITERATIONS):
+        live = vector[:n]
+        image = [restart * math.fsum(live)] + [advance * v for v in live]
+        previous, estimate = estimate, math.hypot(*image)
         if estimate == 0.0:
             raise ConvergenceError(f"power iteration collapsed to zero at {params}")
-        direction = image / estimate
+        direction = [x / estimate for x in image]
         # the scalar estimate can stall while the direction still rotates,
         # so convergence is judged on the iterate direction as well
-        drift = float(np.linalg.norm(direction - vector))
+        drift = math.hypot(*(a - b for a, b in zip(direction, vector)))
         vector = direction
         if drift < settle and abs(estimate - previous) < settle * max(1.0, estimate):
             return estimate
     raise ConvergenceError(
-        f"power iteration did not settle within {_MAX_ITERATIONS} steps at {params}"
+        f"power iteration did not settle within {_POWER_ITERATIONS} steps at {params}"
     )
 
 

@@ -8,11 +8,11 @@ state.  ``adjacency_matrix`` counts those moves with outgoing edges stored
 column-wise, and dividing by m turns move counts into probabilities.
 
 Everything in this module is exact; the k-step completion probability and
-all moments come out as Fractions with no rounding at any stage.
-``success_probability`` applies the walk matrix itself.  The moments solve
-the walk's first-step equations and ``distribution`` runs the walk on
-integer counts of live strings per run length; both take O(1) integer
-operations per state or step and build no matrix.
+all moments come out as Fractions with no rounding at any stage.  The
+moments solve the walk's first-step equations, ``distribution`` runs the
+walk on integer counts of live strings per run length, and
+``success_probability`` sums live-string counts over the last n steps; none
+of them builds a matrix.  The dense matrices remain as test references.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from fractions import Fraction
 from . import closed_form
 from .errors import DomainError, SizeCapError
 from .params import Params
-from .ratmat import RationalMatrix, matrix_times_column
+from .ratmat import RationalMatrix
+from .ratmat import matrix_times_column  # noqa: F401  traced by name in benchmarks/spans.py
 from .ratmat import row_times_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
+PRINT_DIGIT_CAP = 4300  # digits per printed integer; the interpreter's default
 
 
 def adjacency_matrix(params: Params) -> RationalMatrix:
@@ -92,16 +94,23 @@ def fundamental_inverse_pattern(params: Params) -> RationalMatrix:
 def success_probability(params: Params, k: int) -> Fraction:
     """Exact probability that the run completes at step k.
 
-    Equals the bottom-left entry of W^k, evaluated with k matrix-vector
-    products (never a full matrix power).
+    Counts live strings: L_i = m^i for i < n (no string that short holds
+    an n-run) and L_j = (m-1)(L_{j-1} + ... + L_{j-n}) for j >= n, since a
+    live string ends in an unmarked symbol and then fewer than n marked
+    ones.  A run completes first at step k > n when a live prefix of
+    length k-n-1 is followed by an unmarked symbol and n marked ones, so
+    p_k = (m-1) L_{k-n-1} / m^k, and p_n = 1 / m^n.
     """
     if k < 0:
         raise DomainError(f"step count k must be >= 0, got {k}")
-    w = transition_matrix(params)
-    state = _start_vector(params.n)
-    for _ in range(k):
-        state = matrix_times_column(w, state)
-    return state[-1]
+    params.require_multi_symbol()
+    m, n = params.m, params.n
+    if k <= n:
+        return Fraction(int(k == n), m**n)
+    live = [m**i for i in range(n)]
+    while len(live) < k - n:
+        live.append((m - 1) * sum(live[-n:]))
+    return Fraction((m - 1) * live[k - n - 1], m**k)
 
 
 @dataclass(frozen=True)
@@ -190,8 +199,8 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
     about 1 - 1/E per step, E the mean, so about K = n + E * ln(1/tail)
     rows are needed.  Row k's numerator and denominator have up to
     k * log10(m) digits, so the rows print about K^2 * log10(m)
-    characters, and the last one must stay within the interpreter's limit
-    on digits per printed int (Python 3.10.7 and later).
+    characters, and the last one must stay within the limit on digits per
+    printed int.
     """
     m, n = params.m, params.n
     log_inverse_tail = max(0.0, log_inverse_tail)
@@ -207,25 +216,27 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
             f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g} "
             f"would print about {rows:.3g} rows and {size:.3g} characters of exact "
             f"fractions, with numbers of up to {digits:.3g} digits; the caps are "
-            f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit:.6g} digits: "
+            f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit} digits: "
             "raise the tail bound"
         )
 
 
 def refuse_unprintable(subject: str, log10_largest: float) -> None:
     """Raise SizeCapError when the largest integer a result prints, about
-    10^log10_largest, has more digits than the interpreter prints per int."""
+    10^log10_largest, has more digits than the limit per printed int."""
     digit_limit = _print_digit_limit()
     if log10_largest >= digit_limit:  # an integer has floor(log10) + 1 digits
         raise SizeCapError(
             f"{subject} would print integers of about {log10_largest + 1:.0f} digits, "
-            f"past the interpreter's limit of {digit_limit:.6g} digits per printed integer"
+            f"past the limit of {digit_limit} digits per printed integer"
         )
 
 
-def _print_digit_limit() -> float:
-    # digits per printed int (Python 3.10.7 and later); inf where unlimited
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+def _print_digit_limit() -> int:
+    # the interpreter's limit on digits per printed int (Python 3.10.7 and
+    # later; 0 where lifted), never above the fixed cap
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit or PRINT_DIGIT_CAP, PRINT_DIGIT_CAP)
 
 
 def expectation(params: Params) -> Fraction:
@@ -269,7 +280,3 @@ def _first_step_moments(params: Params) -> tuple[Fraction, Fraction]:
     mean = Fraction(a_h, pivot)
     second = (2 * (sum_a + sum_b * mean) - a_h) / pivot  # A_0 of g, sum s_j = A_0 of h
     return mean, second
-
-
-def _start_vector(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(i == 0)) for i in range(n + 1))

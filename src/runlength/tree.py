@@ -38,20 +38,6 @@ class TreeModel:
     def edge_count(self) -> int:
         return self.node_count - 1
 
-    def parent(self, node: int) -> int:
-        self._check_node(node)
-        if node == 0:
-            raise DomainError("the root has no parent")
-        return (node - 1) // self.params.m
-
-    def depth(self, node: int) -> int:
-        self._check_node(node)
-        steps = 0
-        while node:
-            node = (node - 1) // self.params.m
-            steps += 1
-        return steps
-
     def ancestors(self, node: int) -> list[int]:
         """Ancestors of ``node`` ordered by depth 1..depth(node), node included."""
         self._check_node(node)
@@ -61,22 +47,6 @@ class TreeModel:
             node = (node - 1) // self.params.m
         chain.reverse()
         return chain
-
-    def shared_path_length(self, a: int, b: int) -> int:
-        """Edges common to the root paths of a and b (= depth of their LCA)."""
-        da, db = self.depth(a), self.depth(b)
-        m = self.params.m
-        while da > db:
-            a = (a - 1) // m
-            da -= 1
-        while db > da:
-            b = (b - 1) // m
-            db -= 1
-        while a != b:
-            a = (a - 1) // m
-            b = (b - 1) // m
-            da -= 1
-        return da
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.node_count:

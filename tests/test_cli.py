@@ -103,6 +103,19 @@ def test_results_past_the_print_digit_limit_exit_4_up_front(capsys, argv, subjec
     assert subject in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
 
 
+def test_print_digit_cap_holds_with_the_interpreter_limit_lifted():
+    source_root = str(Path(runlength.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=source_root, PYTHONINTMAXSTRDIGITS="0")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "runlength.cli", "sequence", "A286778", "30000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "sequence A286778 with 30000 terms" in done.stderr
+
+
 # ---------------------------------------------------------------------- tree
 
 
@@ -194,6 +207,35 @@ CELL_ROUTES_MOMENTS_AND_VERIFY = (
     "verify 4 6",
     "verify 6 8 --format json",
 )
+
+
+# every command of the benchmark's cell-routes workload
+CELL_ROUTES = CELL_ROUTES_MOMENTS_AND_VERIFY + (
+    "tree 2 10 --method all --format json",
+    "tree 3 6 --method all",
+    "tree 4 5 --method all --format csv",
+    "tree 7 3 --method all --format json",
+    "spectrum 2 20 --format json",
+    "spectrum 2 40",
+    "spectrum 3 16 --format csv",
+    "spectrum 5 10 --format json",
+    "sequence A286778 40 --format json",
+    "sequence A286778 30",
+    "spectrum 2 60",
+    "tree 10 7 --method edge",
+)
+
+
+def test_no_command_builds_a_dense_matrix(capsys, monkeypatch):
+    from runlength import ratmat
+
+    def refuse(cls, rows):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(ratmat.RationalMatrix, "from_rows", classmethod(refuse))
+    for argv in CELL_ROUTES + ("distribution 3 4",):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
 
 
 def test_moments_and_verify_need_no_matrix_inverse(capsys, monkeypatch):
@@ -370,6 +412,25 @@ def test_spectrum_larger_cell(capsys):
     assert env["results"]["margin"] > 0
 
 
+@pytest.mark.parametrize("m,n", [(2, 54), (3, 34), (10, 17), (2, 60)])
+def test_spectrum_bound_holds_where_a_float_root_rounds_to_m(capsys, m, n):
+    # the dominant root lies about (m-1)/m^n below m, so its float modulus
+    # can equal m; the bound is certified exactly, not from that float
+    code, env = run_json(capsys, "spectrum", str(m), str(n))
+    assert code == 0
+    assert env["results"]["bound_ok"] is True
+    assert env["exactness"]["bound_ok"] == "exact"
+
+
+@pytest.mark.parametrize("m,n", [(5, 600), (1000000, 100)])
+def test_spectrum_above_the_root_finding_caps_exits_4_at_once(capsys, m, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", str(m), str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert f"m={m}, n={n}" in err
+
+
 # ------------------------------------------------------------------ simulate
 
 
@@ -437,7 +498,7 @@ def test_commands_without_the_simulator_never_import_numpy_or_threads():
         "import contextlib, io, sys\n"
         "import runlength, runlength.cli\n"
         "for argv in (['distribution', '4', '2', '--tail', '1e-9'], ['moments', '3', '5'],\n"
-        "             ['verify', '3', '4'], ['sequence', 'A286778', '10']):\n"
+        "             ['verify', '3', '4'], ['sequence', 'A286778', '10'], ['spectrum', '2', '20']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert runlength.cli.main(argv) == 0, argv\n"
         "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))\n"

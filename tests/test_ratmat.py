@@ -85,11 +85,6 @@ def test_vector_products_match_matmul():
     )
 
 
-def test_column_sums():
-    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.column_sums() == (Fraction(4), Fraction(6))
-
-
 def test_equality_is_by_value():
     a = RationalMatrix.from_rows([[Fraction(1, 2)]])
     b = RationalMatrix.from_rows([[Fraction(2, 4)]])

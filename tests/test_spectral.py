@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from runlength import spectral
-from runlength.errors import DomainError, InvariantError
+from runlength import spectral, transfer
+from runlength.errors import DomainError, InvariantError, SizeCapError
 from runlength.params import Params
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -183,3 +185,25 @@ def test_radius_estimate_agrees_with_dominant_root(m, n):
     params = Params(m, n)
     dominant = max(abs(z) for z in spectral.find_roots(spectral.char_poly(params)))
     assert abs(spectral.spectral_radius_estimate(params) - dominant / m) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 12), n=st.integers(1, 120))
+def test_exact_bound_and_matrix_free_radius_over_the_domain(m, n):
+    params = Params(m, n)
+    assert spectral.verify_root_bound(params).rho_bound_ok
+    dense = transfer.transition_matrix(params).entries
+    largest = max(abs(np.linalg.eigvals(np.array(dense, dtype=float))))
+    assert abs(spectral.spectral_radius_estimate(params) - largest) < 1e-8
+
+
+@pytest.mark.parametrize("m,n", [(5, 201), (5, 600), (10**6, 100), (10**8, 38)])
+def test_spectrum_refused_above_the_root_finding_caps(m, n):
+    with pytest.raises(SizeCapError, match=f"m={m}, n={n}"):
+        spectral.verify_root_bound(Params(m, n))
+
+
+def test_bound_violation_is_judged_by_the_exact_value_at_m(monkeypatch):
+    monkeypatch.setattr(spectral, "_eval_int_poly", lambda coeffs, x: 0)
+    with pytest.raises(InvariantError, match="root bound violated"):
+        spectral.verify_root_bound(Params(2, 3))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from runlength.errors import DomainError, SizeCapError
 from runlength.params import Params
-from runlength.ratmat import RationalMatrix
+from runlength.ratmat import RationalMatrix, matrix_times_column
 from runlength import closed_form, transfer
 
 
@@ -50,7 +50,7 @@ def test_adjacency_2_2():
     got = transfer.adjacency_matrix(Params(2, 2))
     assert got == RationalMatrix.from_rows([[1, 1, 0], [1, 0, 0], [0, 1, 0]])
     # live columns each distribute all m symbols
-    assert got.column_sums()[:2] == (Fraction(2), Fraction(2))
+    assert [sum(got[i, j] for i in range(3)) for j in range(2)] == [2, 2]
 
 
 def test_adjacency_3_1():
@@ -85,9 +85,8 @@ def test_transition_matrix_entry_4_3():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_transition_columns_substochastic(m, n):
     w = transfer.transition_matrix(Params(m, n))
-    sums = w.column_sums()
-    assert sums[:n] == tuple(Fraction(1) for _ in range(n))
-    assert sums[n] == 0
+    sums = [sum(w[i, j] for i in range(n + 1)) for j in range(n + 1)]
+    assert sums == [1] * n + [0]
 
 
 # ------------------------------------------------------------------ inverses
@@ -101,12 +100,12 @@ def test_fundamental_inverse_2_1():
 
 def test_fundamental_inverse_first_column_2_2():
     inv = transfer.fundamental_inverse(Params(2, 2))
-    assert inv.column(0) == (Fraction(4), Fraction(2), Fraction(1))
+    assert [inv[i, 0] for i in range(3)] == [4, 2, 1]
 
 
 def test_pattern_inverse_first_column_3_2():
     inv = transfer.fundamental_inverse_pattern(Params(3, 2))
-    assert inv.column(0) == (Fraction(9), Fraction(3), Fraction(1))
+    assert [inv[i, 0] for i in range(3)] == [9, 3, 1]
 
 
 @pytest.mark.parametrize("m", range(2, 6))
@@ -144,6 +143,18 @@ def test_success_probability_zero_before_n(m, n):
 def test_success_probability_rejects_negative_k():
     with pytest.raises(DomainError):
         transfer.success_probability(Params(2, 2), -1)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_success_probability_matches_dense_walk(m, n):
+    # p_k is the bottom-left entry of W^k: apply W k times to the start vector
+    params = Params(m, n)
+    w = transfer.transition_matrix(params)
+    state = tuple(Fraction(int(i == 0)) for i in range(n + 1))
+    for k in range(40):
+        assert transfer.success_probability(params, k) == state[-1], k
+        state = matrix_times_column(w, state)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

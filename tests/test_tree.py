@@ -19,6 +19,11 @@ def lca_node(model, a, b):
     return ancestor
 
 
+def shared_path_length(model, a, b):
+    """Edges common to the root paths of a and b: the depth of their LCA."""
+    return len(model.ancestors(lca_node(model, a, b)))
+
+
 # ----------------------------------------------------------------- TreeModel
 
 
@@ -31,29 +36,30 @@ def test_node_count_and_edges():
 
 def test_parent_and_depth():
     model = tree.TreeModel(Params(2, 2))
-    assert model.parent(3) == 1 and model.parent(6) == 2
-    assert [model.depth(v) for v in range(7)] == [0, 1, 1, 2, 2, 2, 2]
+    assert model.ancestors(3) == [1, 3] and model.ancestors(6) == [2, 6]
+    assert model.ancestors(0) == []
+    assert [len(model.ancestors(v)) for v in range(7)] == [0, 1, 1, 2, 2, 2, 2]
     with pytest.raises(DomainError):
-        model.parent(0)
+        model.ancestors(7)
     with pytest.raises(DomainError):
-        model.depth(7)
+        model.ancestors(-1)
 
 
 def test_shared_path_length_with_root_is_zero():
     model = tree.TreeModel(Params(3, 2))
     for node in range(model.node_count):
-        assert model.shared_path_length(0, node) == 0
+        assert shared_path_length(model, 0, node) == 0
 
 
 def test_shared_path_length_of_node_with_itself_is_depth():
     model = tree.TreeModel(Params(2, 2))
     leaf = 5
-    assert model.shared_path_length(leaf, leaf) == 2
+    assert shared_path_length(model, leaf, leaf) == 2
 
 
 def test_sibling_leaves_share_one_edge():
     model = tree.TreeModel(Params(2, 2))
-    assert model.shared_path_length(3, 4) == 1  # both children of node 1
+    assert shared_path_length(model, 3, 4) == 1  # both children of node 1
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
@@ -61,8 +67,8 @@ def test_shared_path_length_symmetry(m, n):
     model = tree.TreeModel(Params(m, n))
     for a in range(model.node_count):
         for b in range(a, model.node_count):
-            assert model.shared_path_length(a, b) == model.shared_path_length(b, a)
-        assert model.shared_path_length(a, a) == model.depth(a)
+            assert shared_path_length(model, a, b) == shared_path_length(model, b, a)
+        assert shared_path_length(model, a, a) == len(model.ancestors(a))
 
 
 # ------------------------------------------------------------------- methods
@@ -80,7 +86,7 @@ def test_pair_enum_examples():
 def test_pair_enum_matches_per_pair_walk(m, n):
     model = tree.TreeModel(Params(m, n))
     nodes = range(model.node_count)
-    by_walk = sum(model.shared_path_length(a, b) for a in nodes for b in nodes)
+    by_walk = sum(shared_path_length(model, a, b) for a in nodes for b in nodes)
     assert tree.path_sum_pair_enum(Params(m, n)).path_sum == by_walk
 
 
@@ -148,7 +154,7 @@ def test_depth_partition_covers_all_nonzero_pairs(m, n):
         1
         for a in nodes
         for b in nodes
-        if model.shared_path_length(a, b) == 0
+        if shared_path_length(model, a, b) == 0
     )
     report = tree.path_sum_pair_enum(params)
     assert sum(count for _, count in report.per_depth) + with_root_lca == v * v
@@ -171,7 +177,7 @@ def test_three_case_split_matches_enumeration(m, n):
         for a in nodes:
             for b in nodes:
                 c = lca_node(model, a, b)
-                if model.depth(c) != d:
+                if len(model.ancestors(c)) != d:
                     continue
                 owners.add(c)
                 if a == c and b == c:
