@@ -9,6 +9,7 @@ results are serialized as integer or "p/q" strings, never as floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +17,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import attrgetter
+from types import SimpleNamespace
 
 from . import __version__, closed_form, spectral, transfer, tree
 from .errors import (
@@ -29,6 +32,8 @@ from .params import Params
 from .simulate import simulate as run_trials
 
 MATRIX_CHECK_MAX_N = 8  # verify sweeps cap the matrix-route checks here
+VERIFY_MAX_CELLS = 40_000  # verify 300 300 (90 000 cells) took 3.2 s on 2 vCPUs
+TREE_MAX_N = 100_000  # the depth and edge routes loop n times; n = 10^6 took 5.9 s on 2 vCPUs
 
 # Fraction builds 10^|exponent| for a decimal exponent, which takes seconds
 # at ten million digits; beyond this many, --tail is judged before that.
@@ -40,6 +45,7 @@ _SCIENTIFIC = re.compile(
     r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
 )
 
+_INDEX_ROUTES = ("a286778", "tree_edge_count_m2")  # sequence routes that take n, not a cell
 SEQUENCES = {
     "A286778": "variance of the m=2 waiting time (equals its tree path sum)",
     "T-m2": "edge counts of complete binary trees (mean m=2 waiting time)",
@@ -150,104 +156,104 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_moments(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
-    method = args.method
-    if method == "matrix" and params.m == 1:
-        raise DomainError(
-            "the matrix route needs m >= 2; for m = 1 the process is "
-            "deterministic -- use --method closed, which returns "
-            f"mean {params.n} and variance 0 directly"
-        )
-    transfer.refuse_unprintable(  # the second moment is the largest value
-        f"moments at m={params.m}, n={params.n}",
-        math.log10(2) + closed_form.log10_bound(params, over=2),
+    subject = f"moments at m={params.m}, n={params.n}"
+    # the second moment is the largest value
+    transfer.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
+    results: dict = {"method": args.method}
+    mean_and_second = attrgetter("expectation", "second_moment")
+    routes = {
+        "closed": lambda p: mean_and_second(closed_form.moment_report(p)),
+        "matrix": lambda p: (transfer.expectation(p), transfer.second_moment(p)),  # refuses m = 1
+    }
+    values = _run_routes(
+        routes, args.method, params, results, "matrix route skipped for m = 1; closed form used"
     )
-    results: dict = {"method": method}
-    exactness: dict = {}
-    if method in ("closed", "both"):
-        report = closed_form.moment_report(params)
-        closed_values = (report.expectation, report.second_moment, report.variance)
-    if method in ("matrix", "both") and params.m >= 2:
-        expectation = transfer.expectation(params)
-        second = transfer.second_moment(params)
-        matrix_values = (expectation, second, second - expectation**2)
-    if method == "both":
-        if params.m == 1:
-            results["note"] = "matrix route skipped for m = 1; closed form used"
-            values = closed_values
-        else:
-            if tuple(Fraction(v) for v in closed_values) != matrix_values:
-                raise VerificationError(
-                    f"matrix and closed-form moments disagree at m={params.m}, "
-                    f"n={params.n}: {matrix_values} vs {closed_values}"
-                )
-            results["routes_agree"] = True
-            values = closed_values
-    elif method == "closed":
-        values = closed_values
-    else:
-        values = matrix_values
-    for name, value in zip(("expectation", "second_moment", "variance"), values):
-        results[name] = _exact_str(value)
-        exactness[name] = "exact"
-    return _envelope("moments", params, results, exactness), 0
+    expectation, second = _agree(subject, values)
+    if len(values) > 1:
+        results["routes_agree"] = True
+    names = ("expectation", "second_moment", "variance")
+    for name, value in zip(names, (expectation, second, second - expectation**2)):
+        results[name] = str(value)
+    return _envelope("moments", params, results, dict.fromkeys(names, "exact")), 0
 
 
 def _cmd_tree(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
-    transfer.refuse_unprintable(
-        f"tree at m={params.m}, n={params.n}", closed_form.log10_bound(params, over=3)
+    subject = f"tree at m={params.m}, n={params.n}"
+    transfer.refuse_unprintable(subject, closed_form.log10_bound(params, over=3))
+    if params.n > TREE_MAX_N:
+        raise SizeCapError(
+            f"{subject} is refused: the counting routes loop n times, and n is "
+            f"capped at {TREE_MAX_N}"
+        )
+    results: dict = {"method": args.method}
+    routes = {
+        "depth": tree.path_sum_depth_count,
+        "edge": tree.path_sum_edge_contrib,
+        "pair": tree.path_sum_pair_enum,
+        "closed": lambda p: SimpleNamespace(
+            edge_count=closed_form.tree_edge_count(p),
+            path_sum=closed_form.path_sum(p),
+            per_depth=(),
+        ),
+    }
+    reports = _run_routes(
+        routes, args.method, params, results, "skipped above node-count cap: pair"
     )
-    method = args.method
-    results: dict = {"method": method}
+    edge_count, path_sum = _agree(
+        subject, {name: (r.edge_count, r.path_sum) for name, r in reports.items()}
+    )
+    if len(reports) > 1:
+        results["methods_agree"] = True
+    per_depth = next(iter(reports.values())).per_depth  # empty when closed ran alone
+    if per_depth:
+        results["per_depth"] = [{"depth": d, "pairs": count} for d, count in per_depth]
+    results["methods_used"] = list(reports)
+    results["edge_count"] = str(edge_count)
+    results["path_sum"] = str(path_sum)
     exactness = {"edge_count": "exact", "path_sum": "exact", "per_depth": "exact"}
-    reports = {}
-    if method == "pair":
-        reports["pair"] = tree.path_sum_pair_enum(params)
-    elif method == "edge":
-        reports["edge"] = tree.path_sum_edge_contrib(params)
-    elif method == "depth":
-        reports["depth"] = tree.path_sum_depth_count(params)
-    elif method == "all":
-        reports["depth"] = tree.path_sum_depth_count(params)
-        reports["edge"] = tree.path_sum_edge_contrib(params)
-        if tree.TreeModel(params).node_count <= tree.PAIR_ENUM_NODE_CAP:
-            reports["pair"] = tree.path_sum_pair_enum(params)
-        else:
-            results["note"] = "skipped above node-count cap: pair"
-
-    edge_count = closed_form.tree_edge_count(params)
-    path_sum = closed_form.path_sum(params)
-    if reports:
-        sums = {name: r.path_sum for name, r in reports.items()}
-        counts = {name: r.edge_count for name, r in reports.items()}
-        if method == "all" or len(reports) > 1:
-            if any(s != path_sum for s in sums.values()) or any(
-                c != edge_count for c in counts.values()
-            ):
-                raise VerificationError(
-                    f"tree methods disagree at m={params.m}, n={params.n}: "
-                    f"closed S={path_sum}, computed {sums}"
-                )
-            results["methods_agree"] = True
-        else:
-            only = next(iter(reports.values()))
-            edge_count, path_sum = only.edge_count, only.path_sum
-        some = next(iter(reports.values()))
-        results["per_depth"] = [
-            {"depth": d, "pairs": count} for d, count in some.per_depth
-        ]
-    if method == "all":
-        results["methods_used"] = sorted(reports) + ["closed"]
-    else:
-        results["methods_used"] = [method]
-    results["edge_count"] = _exact_str(edge_count)
-    results["path_sum"] = _exact_str(path_sum)
     return _envelope("tree", params, results, exactness), 0
+
+
+def _run_routes(routes: dict, method: str, params: Params, results: dict, skip_note: str) -> dict:
+    """Each route's value by name, for the route ``method`` names or else for all.
+
+    A route run alone raises its refusal; among all, one that refuses is skipped.
+    """
+    if method in routes:
+        return {method: routes[method](params)}
+    values = {}
+    for name, route in routes.items():
+        try:
+            values[name] = route(params)
+        except (DomainError, SizeCapError):
+            results["note"] = skip_note
+    return values
+
+
+def _agree(subject: str, values: dict):
+    """The value every named route gave; VerificationError naming two that differ."""
+    (first, shared), *others = values.items()
+    for name, value in others:
+        if value != shared:
+            raise VerificationError(
+                f"{subject}: the {first} and {name} routes disagree: {shared} vs {value}"
+            )
+    return shared
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.m_max < 1 or args.n_max < 1:
         raise DomainError("m_max and n_max must both be >= 1")
+    checked = args.m_max * args.n_max
+    # the (m_max, n_max) cell's second moment is the largest value a cell forms
+    log10_largest = math.log10(2) + closed_form.log10_bound(Params(args.m_max, args.n_max), over=2)
+    if checked > VERIFY_MAX_CELLS or log10_largest >= transfer.PRINT_DIGIT_CAP:
+        raise SizeCapError(
+            f"verify up to m={args.m_max}, n={args.n_max} is refused: it would check "
+            f"{checked} cells, with integers of up to about {log10_largest + 1:.0f} digits; "
+            f"the caps are {VERIFY_MAX_CELLS} cells and {transfer.PRINT_DIGIT_CAP} digits"
+        )
     cells = []
     failures = 0
     for m in range(1, args.m_max + 1):
@@ -260,13 +266,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 and variance == (m - 1) * closed_form.path_sum(params)
             )
             matrix_ok = None
-            if m >= 2 and n <= MATRIX_CHECK_MAX_N:
-                matrix_expectation = transfer.expectation(params)
-                matrix_ok = (
-                    matrix_expectation == expectation
-                    and transfer.second_moment(params) - matrix_expectation**2
-                    == variance
-                )
+            if n <= MATRIX_CHECK_MAX_N:
+                with contextlib.suppress(DomainError):  # the walk refuses m = 1
+                    walk_mean = transfer.expectation(params)
+                    walk_variance = transfer.second_moment(params) - walk_mean**2
+                    matrix_ok = (walk_mean, walk_variance) == (expectation, variance)
             ok = closed_ok and matrix_ok is not False
             failures += 0 if ok else 1
             cells.append(
@@ -290,25 +294,18 @@ def _cmd_sequence(args) -> tuple[dict, int]:
     else:  # the m = 2 path sums
         log10_largest = closed_form.log10_bound(Params(2, args.count), over=3)
     transfer.refuse_unprintable(f"sequence {args.name} with {args.count} terms", log10_largest)
+    routes = {  # closed_form functions of the index n, or else of the cell (2, n)
+        "A286778": ("a286778", "variance", "path_sum"),
+        "T-m2": ("tree_edge_count_m2", "tree_edge_count"),
+        "S-m2": ("path_sum", "a286778"),
+    }[args.name]
     terms = []
     for n in range(1, args.count + 1):
-        if args.name == "A286778":
-            value = closed_form.a286778(n)
-            crosses = (
-                closed_form.variance(Params(2, n)),
-                closed_form.path_sum(Params(2, n)),
-            )
-        elif args.name == "T-m2":
-            value = closed_form.tree_edge_count_m2(n)
-            crosses = (closed_form.tree_edge_count(Params(2, n)),)
-        else:  # S-m2
-            value = closed_form.path_sum(Params(2, n))
-            crosses = (closed_form.a286778(n),)
-        if any(c != value for c in crosses):
-            raise VerificationError(
-                f"{args.name} term {n} disagrees across routes: {value} vs {crosses}"
-            )
-        terms.append({"n": n, "value": _exact_str(value)})
+        values = {
+            name: getattr(closed_form, name)(n if name in _INDEX_ROUTES else Params(2, n))
+            for name in routes
+        }
+        terms.append({"n": n, "value": str(_agree(f"{args.name} term {n}", values))})
     results = {
         "name": args.name,
         "description": SEQUENCES[args.name],
@@ -328,20 +325,21 @@ def _cmd_distribution(args) -> tuple[dict, int]:
     mean_ok = truncated_mean <= expectation <= truncated_mean + gap_bound
     if not mean_ok:
         raise VerificationError(
-            f"truncated mean {truncated_mean} not within {gap_bound} of {expectation}"
+            f"distribution at m={params.m}, n={params.n}: truncated mean "
+            f"{truncated_mean} not within {gap_bound} of {expectation}"
         )
     results = {
-        "tail_bound": _exact_str(tail_bound),
+        "tail_bound": str(tail_bound),
         "rows": [
-            {"k": k, "exact": _exact_str(p), "float": float(p)}
+            {"k": k, "exact": str(p), "float": float(p)}
             for k, p in table.probs
         ],
-        "tail": _exact_str(table.tail),
+        "tail": str(table.tail),
         "tail_float": float(table.tail),
-        "cumulative": _exact_str(1 - table.tail),
-        "truncated_mean": _exact_str(truncated_mean),
-        "expectation": _exact_str(expectation),
-        "mean_gap_bound": _exact_str(gap_bound),
+        "cumulative": str(1 - table.tail),
+        "truncated_mean": str(truncated_mean),
+        "expectation": str(expectation),
+        "mean_gap_bound": str(gap_bound),
         "mean_within_bound": mean_ok,
     }
     exactness = {
@@ -402,8 +400,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         "std_error_of_mean": report.std_error_of_mean,
         "min_len": report.min_len,
         "max_len": report.max_len,
-        "exact_expectation": _exact_str(closed_form.expectation(params)),
-        "exact_variance": _exact_str(closed_form.variance(params)),
+        "exact_expectation": str(closed_form.expectation(params)),
+        "exact_variance": str(closed_form.variance(params)),
         "histogram": [
             {"length": length, "count": count}
             for length, count in report.histogram.items()
@@ -502,10 +500,6 @@ def _render_table(envelope: dict) -> str:
                 + "  ".join(str(row[h]).rjust(w) for h, w in zip(headers, widths))
             )
     return "\n".join(lines) + "\n"
-
-
-def _exact_str(value) -> str:
-    return str(value)
 
 
 def _parse_tail(text: str, params: Params) -> Fraction:

@@ -40,8 +40,12 @@ def geometric_sum(m: int, terms: int) -> int:
 
 
 def tree_edge_count(params: Params) -> int:
-    """Edges of the complete m-ary tree of height n: m(m^n - 1)/(m - 1)."""
-    return params.m * geometric_sum(params.m, params.n)
+    """Edges of the complete m-ary tree of height n: every node but the root.
+
+    Counted from the nodes 1 + m + ... + m^n rather than from the mean's
+    expression m(m^n - 1)/(m - 1), so that mean = T is a check.
+    """
+    return geometric_sum(params.m, params.n + 1) - 1
 
 
 def expectation(params: Params) -> int:

@@ -28,7 +28,7 @@ from .transfer import transition_matrix  # noqa: F401  traced by name in benchma
 ROOT_RESIDUAL_TOL = 1e-9
 RADIUS_AGREEMENT_TOL = 1e-6
 SPECTRUM_MAX_N = 150  # an Aberth sweep costs O(n^2); 700 of them at n = 150 take about 8 s
-_FLOAT_MAX_LOG10 = 308  # the residual bound's |z|^(n+1) must stay a finite float
+_FLOAT_MAX_LOG10 = 308  # p near |z| = m, about m^n, stays a finite float with a factor m to spare
 _ABERTH_SWEEPS = 700  # twice the most sweeps an admitted cell was seen to need (298)
 _POWER_ITERATIONS = 10_000
 
@@ -69,9 +69,10 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
 
     Simultaneous Aberth refinement started from a deterministic circle of
     radius 1 + max|c_i| / |c_lead|.  Success means every root's residual
-    satisfies |p(z)| <= tol * (1 + |z|^(deg+1)); otherwise the iteration
-    keeps going until a fixed budget of sweeps runs out or a root leaves
-    float range, and then fails loudly.  Output is sorted by (real, imag),
+    satisfies |p(z)| <= tol * sum(|c_i| |z|^(deg-i)), the scale of Horner's
+    rounding error at z; otherwise the iteration keeps going until a fixed
+    budget of sweeps runs out or a root leaves float range, and then fails
+    loudly.  Output is sorted by (real, imag),
     so it is deterministic given (coeffs, tol).
     """
     if len(coeffs) < 2:
@@ -112,7 +113,7 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
             break  # one root past float range turns every root to nan
     worst = max(_residuals(coeffs, roots))
     raise ConvergenceError(
-        f"root refinement stopped after {sweeps} of {_ABERTH_SWEEPS} sweeps; "
+        f"Aberth root refinement stopped after {sweeps} of {_ABERTH_SWEEPS} sweeps; "
         f"worst residual {worst:.3e}"
     )
 
@@ -157,7 +158,10 @@ def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootRep
             f"root bound violated at {params}: the characteristic polynomial "
             f"is {at_m} at m = {m}, not positive"
         )
-    roots = find_roots(coeffs, tol)
+    try:
+        roots = find_roots(coeffs, tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"spectrum at m={m}, n={n}: {exc}") from exc
     max_modulus = max(abs(z) for z in roots)
     return RootReport(
         params=params,
@@ -229,8 +233,8 @@ def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
 
 
 def _residuals_ok(coeffs: list[int], roots: list[complex], tol: float) -> bool:
-    degree = len(coeffs) - 1
+    magnitudes = [complex(abs(c)) for c in coeffs]
     return all(
-        res <= tol * (1.0 + abs(z) ** (degree + 1))
+        res <= tol * abs(_eval_complex_poly(magnitudes, abs(z)))
         for res, z in zip(_residuals(coeffs, roots), roots)
     )

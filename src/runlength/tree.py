@@ -85,8 +85,8 @@ def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeRep
     v = tree.node_count
     if v > cap:
         raise SizeCapError(
-            f"pair enumeration over {v} nodes exceeds the cap of {cap}; "
-            "use the edge-contribution or depth-count method instead"
+            f"pair enumeration at m={params.m}, n={params.n} over {v} nodes exceeds "
+            f"the cap of {cap}; use the edge-contribution or depth-count method instead"
         )
     import numpy as np
 

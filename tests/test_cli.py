@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import runlength
-from runlength import closed_form
+from runlength import closed_form, tree
 from runlength.cli import main
 from runlength.params import Params
 
@@ -62,7 +62,8 @@ def test_moments_degenerate_alphabet(capsys):
     assert code == 0
     assert env["results"]["expectation"] == "4"
     assert env["results"]["variance"] == "0"
-    assert "note" in env["results"]
+    assert env["results"]["note"] == "matrix route skipped for m = 1; closed form used"
+    assert "routes_agree" not in env["results"]  # only the closed form ran
 
 
 def test_moments_matrix_route_rejected_for_single_symbol(capsys):
@@ -87,6 +88,30 @@ def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "attribute,wrong,argv,named",
+    [
+        ("transfer.second_moment", lambda params: 999, "moments 2 2",
+         "moments at m=2, n=2: the closed and matrix routes disagree"),
+        ("tree.path_sum_edge_contrib",
+         lambda params: tree.path_sum_depth_count(Params(params.m, params.n + 1)),
+         "tree 3 2", "tree at m=3, n=2: the depth and edge routes disagree"),
+        ("closed_form.path_sum", lambda params: 0, "sequence A286778 3",
+         "A286778 term 1: the a286778 and path_sum routes disagree"),
+    ],
+)
+def test_route_disagreement_exits_3_naming_the_cell_and_both_routes(
+    capsys, monkeypatch, attribute, wrong, argv, named
+):
+    from runlength import cli
+
+    module, name = attribute.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, wrong)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (3, "")
+    assert named in err
+
+
+@pytest.mark.parametrize(
     "argv,subject",
     [
         ("moments 2 20000 --method closed", "moments at m=2, n=20000"),
@@ -101,6 +126,32 @@ def test_results_past_the_print_digit_limit_exit_4_up_front(capsys, argv, subjec
     assert code == 4
     assert out == ""
     assert subject in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize(
+    "argv,subject",
+    [
+        ("tree 1 1000000 --method depth", "tree at m=1, n=1000000"),
+        (f"tree 1 {10**400}", f"tree at m=1, n={10**400}"),
+        ("verify 300 300", "verify up to m=300, n=300"),
+        ("verify 20 2000", "verify up to m=20, n=2000"),
+        ("simulate 2 20 1000 1", "simulate at m=2, n=20 with 1000 trials"),
+        ("simulate 2 100000 2 1", "simulate at m=2, n=100000 with 2 trials"),
+        (f"simulate {2**70} 1 2 1", f"simulate at m={2**70}, n=1 with 2 trials"),
+    ],
+)
+def test_inputs_past_the_work_caps_exit_4_up_front(capsys, argv, subject):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert subject in err
+
+
+@pytest.mark.parametrize("argv", ["verify 8 12", "verify 1 20", "tree 1 100000 --method closed"])
+def test_inputs_below_the_work_caps_still_run(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
 
 
 def test_print_digit_cap_holds_with_the_interpreter_limit_lifted():
@@ -143,12 +194,14 @@ def test_tree_pair_method(capsys):
 def test_tree_pair_over_cap_exits_4(capsys):
     code, _, err = run_cli(capsys, "tree", "2", "12", "--method", "pair")
     assert code == 4
+    assert "pair enumeration at m=2, n=12" in err
     assert "edge" in err or "depth" in err  # advice to use the scalable methods
 
 
 def test_tree_all_skips_pair_above_cap(capsys):
     code, env = run_json(capsys, "tree", "2", "12", "--method", "all")
     assert code == 0
+    assert env["results"]["note"] == "skipped above node-count cap: pair"
     assert "pair" not in env["results"]["methods_used"]
     assert env["results"]["methods_agree"] is True
 
@@ -342,6 +395,15 @@ def test_distribution_mean_bound(capsys):
     assert truncated <= 12 <= truncated + bound
 
 
+def test_distribution_mean_bound_failure_names_the_cell(capsys, monkeypatch):
+    from runlength import cli
+
+    monkeypatch.setattr(cli.closed_form, "expectation", lambda params: 0)
+    code, out, err = run_cli(capsys, "distribution", "3", "2")
+    assert (code, out) == (3, "")
+    assert "distribution at m=3, n=2: truncated mean" in err
+
+
 def test_distribution_refuses_oversized_table(capsys):
     code, out, err = run_cli(capsys, "distribution", "2", "12")
     assert code == 4
@@ -420,6 +482,27 @@ def test_spectrum_bound_holds_where_a_float_root_rounds_to_m(capsys, m, n):
     assert code == 0
     assert env["results"]["bound_ok"] is True
     assert env["exactness"]["bound_ok"] == "exact"
+
+
+@pytest.mark.parametrize("m,n", [(204335, 57), (4216965034, 3)])
+def test_spectrum_residuals_are_judged_at_horner_rounding_scale(capsys, m, n):
+    # near the unit circle |p(z)| rounds to about 1e-16 m n, past the old
+    # bound 1e-9 (1 + |z|^(n+1)) once m n is about 10^7
+    code, env = run_json(capsys, "spectrum", str(m), str(n))
+    assert code == 0
+    assert env["results"]["bound_ok"] is True
+    for root in env["results"]["roots"]:
+        scale = sum(abs(c) * root["modulus"] ** (n - i) for i, c in enumerate([1] + [m - 1] * n))
+        assert root["residual"] <= 1e-9 * scale
+
+
+def test_spectrum_that_does_not_converge_names_the_cell_and_aberth(capsys, monkeypatch):
+    from runlength import spectral
+
+    monkeypatch.setattr(spectral, "_ABERTH_SWEEPS", 1)
+    code, out, err = run_cli(capsys, "spectrum", "2", "20")
+    assert (code, out) == (3, "")
+    assert "spectrum at m=2, n=20: Aberth root refinement stopped after 1 of 1 sweeps" in err
 
 
 @pytest.mark.parametrize("m,n", [(5, 600), (1000000, 100)])

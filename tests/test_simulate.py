@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from runlength import transfer
-from runlength.errors import DomainError
+from runlength.errors import DomainError, SizeCapError
 from runlength.params import Params
-from runlength.simulate import SymbolStream, generate_one, simulate
+from runlength.simulate import SYMBOL_BUDGET, SymbolStream, generate_one, simulate
 
 
 def test_symbol_stream_range_and_determinism():
@@ -53,6 +53,18 @@ def test_simulate_single_symbol_exact():
 def test_simulate_requires_two_trials():
     with pytest.raises(DomainError):
         simulate(Params(2, 2), trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "params,trials",
+    [
+        (Params(1, 10), SYMBOL_BUDGET // 10 + 1),  # one trial past the budget
+        (Params(3, 10**9), 2),  # refused without forming the exact mean
+    ],
+)
+def test_simulate_refuses_runs_past_the_symbol_budget(params, trials):
+    with pytest.raises(SizeCapError, match=f"m={params.m}, n={params.n} with {trials} trials"):
+        simulate(params, trials=trials, seed=0)
 
 
 def test_simulate_reports_are_bitwise_reproducible():
