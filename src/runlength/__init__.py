@@ -7,14 +7,25 @@ rationals), relates them to path statistics of complete m-ary trees, and
 cross-verifies every value by independent routes.
 """
 
+import importlib
+
 from .closed_form import MomentReport, a286778, moment_report, tree_edge_count_m2
 from .params import Params
+# eager, because importing the submodule after this file would rebind
+# `simulate` from the function to the module
 from .simulate import SimReport, simulate
-from .spectral import RootReport, verify_root_bound
-from .transfer import DistributionTable, distribution
-from .tree import TreeModel, TreeReport
 
 __version__ = "0.1.0"
+
+# exports of the route modules, each imported on first use of one of its names
+_LAZY_EXPORTS = {
+    "DistributionTable": "transfer",
+    "distribution": "transfer",
+    "RootReport": "spectral",
+    "verify_root_bound": "spectral",
+    "TreeModel": "tree",
+    "TreeReport": "tree",
+}
 
 __all__ = [
     "DistributionTable",
@@ -32,3 +43,12 @@ __all__ = [
     "verify_root_bound",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import math
 import re
 import sys
-from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
 
-from . import __version__, closed_form, spectral, transfer, tree
+from . import __version__, closed_form
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -155,10 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_moments(args) -> tuple[dict, int]:
+    from . import transfer
+
     params = Params(args.m, args.n)
     subject = f"moments at m={params.m}, n={params.n}"
     # the second moment is the largest value
-    transfer.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
+    closed_form.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
     results: dict = {"method": args.method}
     mean_and_second = attrgetter("expectation", "second_moment")
     routes = {
@@ -178,9 +177,11 @@ def _cmd_moments(args) -> tuple[dict, int]:
 
 
 def _cmd_tree(args) -> tuple[dict, int]:
+    from . import tree
+
     params = Params(args.m, args.n)
     subject = f"tree at m={params.m}, n={params.n}"
-    transfer.refuse_unprintable(subject, closed_form.log10_bound(params, over=3))
+    closed_form.refuse_unprintable(subject, closed_form.log10_bound(params, over=3))
     if params.n > TREE_MAX_N:
         raise SizeCapError(
             f"{subject} is refused: the counting routes loop n times, and n is "
@@ -243,16 +244,18 @@ def _agree(subject: str, values: dict):
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import transfer
+
     if args.m_max < 1 or args.n_max < 1:
         raise DomainError("m_max and n_max must both be >= 1")
     checked = args.m_max * args.n_max
     # the (m_max, n_max) cell's second moment is the largest value a cell forms
     log10_largest = math.log10(2) + closed_form.log10_bound(Params(args.m_max, args.n_max), over=2)
-    if checked > VERIFY_MAX_CELLS or log10_largest >= transfer.PRINT_DIGIT_CAP:
+    if checked > VERIFY_MAX_CELLS or log10_largest >= closed_form.PRINT_DIGIT_CAP:
         raise SizeCapError(
             f"verify up to m={args.m_max}, n={args.n_max} is refused: it would check "
             f"{checked} cells, with integers of up to about {log10_largest + 1:.0f} digits; "
-            f"the caps are {VERIFY_MAX_CELLS} cells and {transfer.PRINT_DIGIT_CAP} digits"
+            f"the caps are {VERIFY_MAX_CELLS} cells and {closed_form.PRINT_DIGIT_CAP} digits"
         )
     cells = []
     failures = 0
@@ -293,7 +296,7 @@ def _cmd_sequence(args) -> tuple[dict, int]:
         log10_largest = (min(args.count, sys.maxsize) + 1) * math.log10(2)
     else:  # the m = 2 path sums
         log10_largest = closed_form.log10_bound(Params(2, args.count), over=3)
-    transfer.refuse_unprintable(f"sequence {args.name} with {args.count} terms", log10_largest)
+    closed_form.refuse_unprintable(f"sequence {args.name} with {args.count} terms", log10_largest)
     routes = {  # closed_form functions of the index n, or else of the cell (2, n)
         "A286778": ("a286778", "variance", "path_sum"),
         "T-m2": ("tree_edge_count_m2", "tree_edge_count"),
@@ -315,6 +318,8 @@ def _cmd_sequence(args) -> tuple[dict, int]:
 
 
 def _cmd_distribution(args) -> tuple[dict, int]:
+    from . import transfer
+
     params = Params(args.m, args.n)
     params.require_multi_symbol()
     tail_bound = _parse_tail(args.tail, params)
@@ -354,6 +359,8 @@ def _cmd_distribution(args) -> tuple[dict, int]:
 
 
 def _cmd_spectrum(args) -> tuple[dict, int]:
+    from . import spectral
+
     params = Params(args.m, args.n)
     params.require_multi_symbol()
     report = spectral.verify_root_bound(params)
@@ -435,6 +442,8 @@ def _envelope(command: str, params, results: dict, exactness: dict) -> dict:
 
 def _emit(envelope: dict, args) -> None:
     if args.format == "json":
+        import json
+
         text = json.dumps(envelope, indent=2) + "\n"
     elif args.format == "csv":
         text = _render_csv(envelope)
@@ -459,6 +468,8 @@ def _find_rows(results: dict) -> tuple[str, list[dict]] | None:
 
 
 def _render_csv(envelope: dict) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     table = _find_rows(envelope["results"])
@@ -522,11 +533,15 @@ def _parse_tail(text: str, params: Params) -> Fraction:
         if log10_tail > _TAIL_EXPONENT_CHECK:
             raise DomainError(f"--tail must be in (0, 1), got {text!r}")
         if log10_tail < -_TAIL_EXPONENT_CHECK:
+            from . import transfer
+
             transfer.refuse_oversized_table(params, -log10_tail * math.log(10))
     return _parse_fraction(text, "--tail")
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -9,16 +9,23 @@ mean is n and the variance 0, and the height-n "tree" degenerates to a
 path with n edges whose path sum is the square pyramidal number
 n(n+1)(2n+1)/6.  These extensions keep the moment/tree identities checkable
 at m = 1.
+
+``log10_bound`` and ``refuse_unprintable`` judge from floats, before any
+route runs, whether a result's integers fit the cap on printed digits.
+They live here so that a command needing only closed forms loads no other
+route module.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, SizeCapError
 from .params import Params
+
+PRINT_DIGIT_CAP = 4300  # digits per printed integer; the interpreter's default
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -108,6 +115,24 @@ def log10_bound(params: Params, over: int) -> float:
     return (2 * min(n, sys.maxsize) + 2) * math.log10(m) - over * math.log10(m - 1)
 
 
+def refuse_unprintable(subject: str, log10_largest: float) -> None:
+    """Raise SizeCapError when the largest integer a result prints, about
+    10^log10_largest, has more digits than the limit per printed int."""
+    digit_limit = print_digit_limit()
+    if log10_largest >= digit_limit:  # an integer has floor(log10) + 1 digits
+        raise SizeCapError(
+            f"{subject} would print integers of about {log10_largest + 1:.0f} digits, "
+            f"past the limit of {digit_limit} digits per printed integer"
+        )
+
+
+def print_digit_limit() -> int:
+    """The interpreter's limit on digits per printed int, never above the fixed cap."""
+    # Python 3.10.7 and later; 0 where lifted
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit or PRINT_DIGIT_CAP, PRINT_DIGIT_CAP)
+
+
 def _moment_bracket(m: int, n: int) -> int:
     return m ** (2 * n + 1) - (2 * n + 1) * m ** (n + 1) + (2 * n + 1) * m**n - 1
 
@@ -129,16 +154,12 @@ def tree_edge_count_m2(n: int) -> int:
     return 2 ** (n + 1) - 2
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(
+    namedtuple("MomentReport", "params expectation second_moment variance tree_edges path_sum")
+):
     """Closed-form moments of one (m, n) cell plus its tree statistics."""
 
-    params: Params
-    expectation: int
-    second_moment: int
-    variance: int
-    tree_edges: int
-    path_sum: int
+    __slots__ = ()
 
 
 def moment_report(params: Params) -> MomentReport:

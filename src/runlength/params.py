@@ -2,27 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "m n")):
     """Alphabet size ``m`` and run length ``n`` of the stopping rule.
 
     The string process draws symbols uniformly from an m-letter alphabet
     and stops at the first run of n consecutive copies of a fixed symbol.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
+    def __new__(cls, m: int, n: int) -> Params:
+        if not isinstance(m, int) or m < 1:
+            raise DomainError(f"m must be an integer >= 1, got {m!r}")
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"n must be an integer >= 1, got {n!r}")
+        return super().__new__(cls, m, n)
 
     def require_multi_symbol(self) -> None:
         """Reject m = 1; the walk-matrix machinery needs at least two symbols."""

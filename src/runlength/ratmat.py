@@ -7,9 +7,9 @@ there is no rounding anywhere in this module.  No command builds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InvariantError
 
@@ -22,18 +22,18 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(namedtuple("RationalMatrix", "entries")):
     """Immutable rectangular matrix of exact rationals."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __new__(cls, entries: tuple[tuple[Fraction, ...], ...]) -> RationalMatrix:
+        if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("matrix rows must all have the same length")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":

@@ -2,7 +2,8 @@
 
 Reproducibility contract: draws come from the counter-based Philox
 generator.  Trials are split into fixed blocks of ``BLOCK_TRIALS``; block
-b uses the Philox stream keyed by (seed, b), and the trials of a block
+b uses the Philox stream keyed by (seed, b), for a seed in 0..2^64-1 (one
+key word, so no two seeds share a stream), and the trials of a block
 consume that stream's 64-bit words in order (rejection redraws included).
 Results are therefore bitwise identical for a given (params, trials,
 seed).
@@ -14,8 +15,7 @@ starts without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import closed_form
 from .errors import DomainError, InvariantError, SizeCapError
@@ -37,15 +37,19 @@ class SymbolStream:
     """
 
     def __init__(self, alphabet_size: int, seed: int, stream_index: int = 0):
+        if not 1 <= alphabet_size <= _WORD_RANGE:
+            raise DomainError(
+                f"alphabet size must be in 1..2^64, the range of one Philox word, "
+                f"got m={alphabet_size}"
+            )
+        if not 0 <= seed < _WORD_RANGE:
+            raise DomainError(
+                f"seed must be in 0..2^64-1, one Philox key word, got {seed}"
+            )
         import numpy as np
 
-        if alphabet_size < 1:
-            raise DomainError(f"alphabet size must be >= 1, got {alphabet_size}")
         self.alphabet_size = alphabet_size
-        key = np.array(
-            [seed & (_WORD_RANGE - 1), stream_index & (_WORD_RANGE - 1)],
-            dtype=np.uint64,
-        )
+        key = np.array([seed, stream_index], dtype=np.uint64)
         self._bit_generator = np.random.Philox(key=key)
         self._reject_from = _WORD_RANGE - (_WORD_RANGE % alphabet_size)
         self._buffer: list[int] = []
@@ -88,23 +92,19 @@ def generate_one(params: Params, stream: SymbolStream) -> int:
             run = 0
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(
+    namedtuple(
+        "SimReport",
+        "params trials seed mean variance std_error_of_mean min_len max_len histogram",
+    )
+):
     """Summary of one batch of trials.
 
     ``variance`` uses the unbiased trials-1 divisor.  ``histogram`` maps
     observed string length to its trial count.
     """
 
-    params: Params
-    trials: int
-    seed: int
-    mean: float
-    variance: float
-    std_error_of_mean: float
-    min_len: int
-    max_len: int
-    histogram: dict[int, int]
+    __slots__ = ()
 
 
 def simulate(params: Params, trials: int, seed: int) -> SimReport:
@@ -135,14 +135,12 @@ def simulate(params: Params, trials: int, seed: int) -> SimReport:
             histogram[length] = histogram.get(length, 0) + 1
     assert sum(histogram.values()) == trials
 
-    # exact integer sums first, one correctly-rounded division at the end,
-    # so the floats are platform-independent
+    # exact integer sums first, one correctly-rounded division at the end
+    # (int / int rounds the exact quotient), so the floats are platform-independent
     total = sum(length * count for length, count in histogram.items())
     total_sq = sum(length * length * count for length, count in histogram.items())
-    mean = float(Fraction(total, trials))
-    variance = float(
-        Fraction(trials * total_sq - total * total, trials * (trials - 1))
-    )
+    mean = total / trials
+    variance = (trials * total_sq - total * total) / (trials * (trials - 1))
     return SimReport(
         params=params,
         trials=trials,

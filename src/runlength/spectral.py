@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, InvariantError, SizeCapError
 from .params import Params
@@ -118,19 +118,16 @@ def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[comple
     )
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(
+    namedtuple(
+        "RootReport",
+        "params char_coeffs transformed_coeffs roots residuals max_modulus margin "
+        "rho_estimate rho_bound_ok",
+    )
+):
     """Spectrum summary: roots, residuals, margin below m, radius estimate."""
 
-    params: Params
-    char_coeffs: tuple[int, ...]
-    transformed_coeffs: tuple[int, ...]
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    max_modulus: float
-    margin: float
-    rho_estimate: float
-    rho_bound_ok: bool
+    __slots__ = ()
 
 
 def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootReport:

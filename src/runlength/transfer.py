@@ -18,8 +18,7 @@ of them builds a matrix.  The dense matrices remain as test references.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import closed_form
@@ -30,7 +29,6 @@ from .ratmat import matrix_times_column  # noqa: F401  traced by name in benchma
 from .ratmat import row_times_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
-PRINT_DIGIT_CAP = 4300  # digits per printed integer; the interpreter's default
 
 
 def adjacency_matrix(params: Params) -> RationalMatrix:
@@ -113,26 +111,23 @@ def success_probability(params: Params, k: int) -> Fraction:
     return Fraction((m - 1) * live[k - n - 1], m**k)
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(namedtuple("DistributionTable", "params probs tail mean_in_rows")):
     """Exact distribution of the waiting time, truncated by residual mass.
 
     ``probs`` lists (k, P[waiting time = k]) from k = n up to the first k
     where the leftover mass drops to ``tail`` <= the requested bound.
-    Conservation is exact: tail + sum of probs == 1.
+    Conservation is exact: tail + sum of probs == 1.  ``mean_in_rows`` is
+    the sum of k * p_k over those rows, kept from the walk that made them.
     """
 
-    params: Params
-    probs: tuple[tuple[int, Fraction], ...]
-    tail: Fraction
-    _truncated_mean: Fraction = field(repr=False)
+    __slots__ = ()
 
     def total_mass(self) -> Fraction:
         return self.tail + sum((p for _, p in self.probs), Fraction(0))
 
     def truncated_mean(self) -> Fraction:
         """Sum k * p_k over the emitted rows (a lower bound on the mean)."""
-        return self._truncated_mean
+        return self.mean_in_rows
 
     def mean_gap_bound(self, expectation: Fraction | int) -> Fraction:
         """Upper bound on the mean mass hidden in the tail.
@@ -187,7 +182,7 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
         params=params,
         probs=tuple(probs),
         tail=Fraction(alive, power),
-        _truncated_mean=Fraction(weighted, power),
+        mean_in_rows=Fraction(weighted, power),
     )
 
 
@@ -210,7 +205,7 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
         rows = math.inf
     digits = rows * math.log10(m)
     size = rows * digits
-    digit_limit = _print_digit_limit()
+    digit_limit = closed_form.print_digit_limit()
     if size > DISTRIBUTION_CHAR_CAP or digits > digit_limit:
         raise SizeCapError(
             f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g} "
@@ -219,24 +214,6 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
             f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit} digits: "
             "raise the tail bound"
         )
-
-
-def refuse_unprintable(subject: str, log10_largest: float) -> None:
-    """Raise SizeCapError when the largest integer a result prints, about
-    10^log10_largest, has more digits than the limit per printed int."""
-    digit_limit = _print_digit_limit()
-    if log10_largest >= digit_limit:  # an integer has floor(log10) + 1 digits
-        raise SizeCapError(
-            f"{subject} would print integers of about {log10_largest + 1:.0f} digits, "
-            f"past the limit of {digit_limit} digits per printed integer"
-        )
-
-
-def _print_digit_limit() -> int:
-    # the interpreter's limit on digits per printed int (Python 3.10.7 and
-    # later; 0 where lifted), never above the fixed cap
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return min(limit or PRINT_DIGIT_CAP, PRINT_DIGIT_CAP)
 
 
 def expectation(params: Params) -> Fraction:

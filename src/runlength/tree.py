@@ -14,7 +14,7 @@ needs no materialized structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed_form import geometric_sum
 from .errors import DomainError, InvariantError, SizeCapError
@@ -23,11 +23,10 @@ from .params import Params
 PAIR_ENUM_NODE_CAP = 2500
 
 
-@dataclass(frozen=True)
-class TreeModel:
+class TreeModel(namedtuple("TreeModel", "params")):
     """Complete m-ary rooted tree of height n, addressed in level order."""
 
-    params: Params
+    __slots__ = ()
 
     @property
     def node_count(self) -> int:
@@ -55,22 +54,19 @@ class TreeModel:
             )
 
 
-@dataclass(frozen=True)
-class TreeReport:
+class TreeReport(namedtuple("TreeReport", "params edge_count path_sum per_depth method")):
     """Edge count T, path sum S, and per-depth ordered-pair counts."""
 
-    params: Params
-    edge_count: int
-    path_sum: int
-    per_depth: tuple[tuple[int, int], ...]
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> TreeReport:
+        self = super().__new__(cls, *args, **kwargs)
         weighted = sum(d * count for d, count in self.per_depth)
         if weighted != self.path_sum:
             raise InvariantError(
                 f"per-depth counts sum to {weighted}, expected {self.path_sum}"
             )
+        return self
 
 
 def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeReport:

@@ -1,6 +1,7 @@
 """Command surface: envelopes, formats, exit codes."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -79,9 +80,9 @@ def test_moments_bad_params_exit_2(capsys):
 
 
 def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
-    from runlength import cli
+    from runlength import transfer
 
-    monkeypatch.setattr(cli.transfer, "second_moment", lambda params: 999)
+    monkeypatch.setattr(transfer, "second_moment", lambda params: 999)
     code, _, err = run_cli(capsys, "moments", "2", "2", "--method", "both")
     assert code == 3
     assert "disagree" in err
@@ -102,10 +103,8 @@ def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
 def test_route_disagreement_exits_3_naming_the_cell_and_both_routes(
     capsys, monkeypatch, attribute, wrong, argv, named
 ):
-    from runlength import cli
-
     module, name = attribute.split(".")
-    monkeypatch.setattr(getattr(cli, module), name, wrong)
+    monkeypatch.setattr(importlib.import_module(f"runlength.{module}"), name, wrong)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (3, "")
     assert named in err
@@ -539,6 +538,14 @@ def test_simulate_single_symbol(capsys):
     assert env["results"]["variance"] == 0.0
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
+def test_simulate_seed_outside_one_philox_word_exits_2_naming_it(capsys, seed):
+    # masked to 64 bits, -5 and 2^64 - 5 would print the same histogram
+    code, out, err = run_cli(capsys, "simulate", "3", "2", "50", str(seed))
+    assert (code, out) == (2, "")
+    assert f"seed must be in 0..2^64-1, one Philox key word, got {seed}" in err
+
+
 # ------------------------------------------------------------ output plumbing
 
 
@@ -586,10 +593,29 @@ def test_commands_without_the_simulator_never_import_numpy_or_threads():
         "        assert runlength.cli.main(argv) == 0, argv\n"
         "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))\n"
     )
+    assert _run_fresh(code) == "[]\n"
+
+
+def test_import_loads_no_route_module_and_a_sequence_loads_only_its_own():
+    # typing is left out: an interpreter's site hook may load it before any of this
+    code = (
+        "import contextlib, io, sys\n"
+        "import runlength, runlength.cli\n"
+        "print(sorted({'dataclasses', 'numpy', 'runlength.spectral', 'runlength.tree',\n"
+        "              'runlength.transfer', 'runlength.ratmat'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert runlength.cli.main(['sequence', 'A286778', '10']) == 0\n"
+        "print(sorted({'runlength.spectral', 'runlength.tree'} & set(sys.modules)))\n"
+    )
+    assert _run_fresh(code) == "[]\n[]\n"
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this source tree."""
     source_root = str(Path(runlength.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=source_root)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout

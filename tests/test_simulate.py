@@ -31,6 +31,24 @@ def test_symbol_stream_is_roughly_uniform_with_rejection():
     assert all(abs(c - expected) < band for c in counts)
 
 
+def test_symbol_stream_refuses_alphabets_past_one_philox_word():
+    # above 2^64 no word is below the rejection threshold, so draw() never returned
+    with pytest.raises(DomainError, match=f"m={2**64 + 1}$"):
+        SymbolStream(2**64 + 1, seed=1)
+    assert 0 <= SymbolStream(2**64, seed=1).draw() < 2**64  # every word is a symbol
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_symbol_stream_refuses_seeds_outside_one_key_word(seed):
+    with pytest.raises(DomainError, match=f"got {seed}$"):
+        SymbolStream(2, seed=seed)
+
+
+def test_simulate_takes_the_largest_seed():
+    report = simulate(Params(3, 2), trials=50, seed=2**64 - 1)
+    assert report.seed == 2**64 - 1 and sum(report.histogram.values()) == 50
+
+
 def test_generate_one_needs_at_least_n_draws():
     stream = SymbolStream(2, seed=5)
     lengths = [generate_one(Params(2, 3), stream) for _ in range(500)]
