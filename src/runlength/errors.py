@@ -14,7 +14,7 @@ class VerificationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numeric routine exhausted its iteration budget."""
+    """An iterative numeric routine missed its accuracy or exhausted its budget."""
 
 
 class InvariantError(RuntimeError):

@@ -9,10 +9,13 @@ so every root has modulus strictly below m and the spectral radius of
 the probability matrix W is strictly below 1.  ``verify_root_bound``
 certifies that bound with one exact integer evaluation.
 
-Floats appear only for display, and no float can veto the exact bound:
-Aberth refinement finds every root with a residual so its accuracy is
-checkable, and power iteration on the walk's 2n moves estimates the
-spectral radius for comparison with |dominant root| / m.
+Floats appear only for display, and no float can veto the exact bound.
+The transformed equation x^n (m - x) = m - 1 locates every root: the
+dominant one by a monotone iteration for its distance below m, each of
+the others as the fixed point of its own contraction of the unit disk.
+Each root's residual is checked at the scale of Horner's rounding error,
+and power iteration on the walk's 2n moves estimates the spectral radius
+for comparison with |dominant root| / m.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError, InvariantError, SizeCapError
+from .errors import ConvergenceError, InvariantError, SizeCapError
 from .params import Params
 from .transfer import transition_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 ROOT_RESIDUAL_TOL = 1e-9
 RADIUS_AGREEMENT_TOL = 1e-6
-SPECTRUM_MAX_N = 150  # an Aberth sweep costs O(n^2); 700 of them at n = 150 take about 8 s
 _FLOAT_MAX_LOG10 = 308  # p near |z| = m, about m^n, stays a finite float with a factor m to spare
-_ABERTH_SWEEPS = 700  # twice the most sweeps an admitted cell was seen to need (298)
 _POWER_ITERATIONS = 10_000
 
 
@@ -64,58 +65,39 @@ def transformed_poly(params: Params) -> list[int]:
     return coeffs
 
 
-def find_roots(coeffs: list[int], tol: float = ROOT_RESIDUAL_TOL) -> list[complex]:
-    """All complex roots of an integer-coefficient polynomial.
+def find_roots(params: Params) -> list[complex]:
+    """All n characteristic roots, each from the equation x^n (m - x) = m - 1.
 
-    Simultaneous Aberth refinement started from a deterministic circle of
-    radius 1 + max|c_i| / |c_lead|.  Success means every root's residual
-    satisfies |p(z)| <= tol * sum(|c_i| |z|^(deg-i)), the scale of Horner's
-    rounding error at z; otherwise the iteration keeps going until a fixed
-    budget of sweeps runs out or a root leaves float range, and then fails
-    loudly.  Output is sorted by (real, imag),
-    so it is deterministic given (coeffs, tol).
+    For n = 1 the only root is m - 1.  Otherwise the dominant root is
+    R = m - delta, where delta is the limit of delta <- (m-1) / (m-delta)^n
+    from delta = 0; the sequence increases, so it stops when it stops
+    increasing.  Each other root is the fixed point of one contraction of
+    the closed unit disk: for k = 1..n-1,
+    g_k(z) = w^k ((m-1) / (m-z))^(1/n), with w = e^(2 pi i/n) and the
+    principal root, maps the disk into itself with Lipschitz constant
+    L = 1/(n(m-1)), because |m - z| >= m - 1 there (k = 0 gives the
+    spurious root 1).  From z = 0 the error after j steps is at most L^j,
+    so a fixed count of steps reaches 2^-53 without a tolerance test.
+    g_(n-k) is the mirror image of g_k, so k = 1..n//2 suffice: each
+    non-real root's partner is its exact conjugate, and k = n/2 gives the
+    real negative root.  Output is sorted by (real, imag).
     """
-    if len(coeffs) < 2:
-        raise DomainError("polynomial degree must be at least 1")
-    if coeffs[0] == 0:
-        raise DomainError("leading coefficient must be nonzero")
-    degree = len(coeffs) - 1
-    lead = coeffs[0]
-    monic = [complex(c) / lead for c in coeffs]
-    deriv = [monic[i] * (degree - i) for i in range(degree)]
-    radius = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(lead)
-
-    # fixed angular offset keeps the start points off the real axis
-    roots = [
-        radius * cmath.exp(1j * (2 * cmath.pi * k / degree + 0.4))
-        for k in range(degree)
-    ]
-    refine_stop = max(tol * 1e-2, 1e-13) * max(1.0, radius)
-    for sweeps in range(1, _ABERTH_SWEEPS + 1):
-        max_step = 0.0
-        for i in range(degree):
-            z = roots[i]
-            p = _eval_complex_poly(monic, z)
-            dp = _eval_complex_poly(deriv, z)
-            if dp == 0:
-                roots[i] = z + refine_stop  # deterministic nudge off the stall
-                max_step = max(max_step, refine_stop)
-                continue
-            newton = p / dp
-            repulsion = sum(1 / (z - roots[j]) for j in range(degree) if j != i)
-            denom = 1 - newton * repulsion
-            step = newton if denom == 0 else newton / denom
-            roots[i] = z - step
-            max_step = max(max_step, abs(step))
-        if max_step < refine_stop and _residuals_ok(coeffs, roots, tol):
-            return sorted(roots, key=lambda z: (z.real, z.imag))
-        if not all(map(cmath.isfinite, roots)):
-            break  # one root past float range turns every root to nan
-    worst = max(_residuals(coeffs, roots))
-    raise ConvergenceError(
-        f"Aberth root refinement stopped after {sweeps} of {_ABERTH_SWEEPS} sweeps; "
-        f"worst residual {worst:.3e}"
-    )
+    params.require_multi_symbol()
+    m, n = params.m, params.n
+    if n == 1:
+        return [complex(m - 1)]
+    delta = 0.0
+    while (step := (m - 1) * (m - delta) ** -n) > delta:
+        delta = step
+    roots = [complex(m - delta)]
+    steps = math.ceil(53 / math.log2(n * (m - 1))) + 1
+    for k in range(1, n // 2 + 1):
+        z = 0j
+        for _ in range(steps):
+            w = m - z
+            z = cmath.rect(((m - 1) / abs(w)) ** (1 / n), (2 * math.pi * k - cmath.phase(w)) / n)
+        roots += [complex(z.real)] if 2 * k == n else [z, z.conjugate()]
+    return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 class RootReport(
@@ -138,15 +120,17 @@ def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootRep
     matrix geometric series, so it raises rather than returning a report.
     The roots, ``max_modulus`` and ``margin`` are floats for display: the
     dominant root sits about (m-1)/m^n below m, so the float margin can
-    round to 0 where the bound holds.  Cells past the root-finding caps are
-    refused before any root is sought.
+    round to 0 where the bound holds.  Each root's residual |p(z)| must be
+    at most ``tol`` times sum |c_i| |z|^(n-i), the scale of Horner's
+    rounding error at z.  Cells past the float-range cap are refused before
+    any root is sought.
     """
     params.require_multi_symbol()
     m, n = params.m, params.n
-    if n > SPECTRUM_MAX_N or (n + 1) * math.log10(m) > _FLOAT_MAX_LOG10:
+    if (n + 1) * math.log10(m) > _FLOAT_MAX_LOG10:
         raise SizeCapError(
-            f"spectrum at m={m}, n={n} is refused: root finding needs n <= "
-            f"{SPECTRUM_MAX_N} and m^(n+1) <= 10^{_FLOAT_MAX_LOG10}"
+            f"spectrum at m={m}, n={n} is refused: float residuals need "
+            f"m^(n+1) <= 10^{_FLOAT_MAX_LOG10}"
         )
     coeffs = char_poly(params)
     at_m = _eval_int_poly(coeffs, m)
@@ -155,17 +139,23 @@ def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootRep
             f"root bound violated at {params}: the characteristic polynomial "
             f"is {at_m} at m = {m}, not positive"
         )
-    try:
-        roots = find_roots(coeffs, tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"spectrum at m={m}, n={n}: {exc}") from exc
+    roots = find_roots(params)
+    residuals = []
+    for z in roots:
+        residual, scale = _residual(coeffs, z)
+        if not residual <= tol * scale:
+            raise ConvergenceError(
+                f"spectrum at m={m}, n={n}: root {z:.17g} has residual "
+                f"{residual:.3e}, above {tol:g} times Horner's rounding scale {scale:.3e}"
+            )
+        residuals.append(residual)
     max_modulus = max(abs(z) for z in roots)
     return RootReport(
         params=params,
         char_coeffs=tuple(coeffs),
         transformed_coeffs=tuple(transformed_poly(params)),
         roots=tuple(roots),
-        residuals=tuple(_residuals(coeffs, roots)),
+        residuals=tuple(residuals),
         max_modulus=max_modulus,
         margin=m - max_modulus,
         rho_estimate=spectral_radius_estimate(params),
@@ -173,9 +163,7 @@ def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootRep
     )
 
 
-def spectral_radius_estimate(
-    params: Params, tol: float = RADIUS_AGREEMENT_TOL
-) -> float:
+def spectral_radius_estimate(params: Params) -> float:
     """Power-iteration estimate of the spectral radius of W.
 
     W has 2n nonzero moves: each live state j < n sends (m-1)/m of its mass
@@ -183,15 +171,15 @@ def spectral_radius_estimate(
     (m-1)/m * sum(v_j, j < n) at Start and v_j / m at j+1.  Starts from a
     strictly positive vector, which always overlaps the dominant
     eigendirection of this nonnegative matrix.  The estimate is driven well
-    below ``tol`` so it can be compared against |dominant root| / m at that
-    tolerance.
+    below ``RADIUS_AGREEMENT_TOL`` so it can be compared against
+    |dominant root| / m at that tolerance.
     """
     params.require_multi_symbol()
     m, n = params.m, params.n
     restart, advance = (m - 1) / m, 1 / m
     vector = [1 / math.sqrt(n + 1)] * (n + 1)
     estimate = 0.0
-    settle = tol * 1e-3
+    settle = RADIUS_AGREEMENT_TOL * 1e-3
     for _ in range(_POWER_ITERATIONS):
         live = vector[:n]
         image = [restart * math.fsum(live)] + [advance * v for v in live]
@@ -217,21 +205,10 @@ def _eval_int_poly(coeffs: list[int], x: int) -> int:
     return value
 
 
-def _eval_complex_poly(coeffs: list[complex], z: complex) -> complex:
-    value = 0j
+def _residual(coeffs: list[int], z: complex) -> tuple[float, float]:
+    """|p(z)| and sum |c_i| |z|^(deg-i), the scale of Horner's rounding error at z."""
+    value, scale, modulus = 0j, 0.0, abs(z)
     for c in coeffs:
         value = value * z + c
-    return value
-
-
-def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
-    as_complex = [complex(c) for c in coeffs]
-    return [abs(_eval_complex_poly(as_complex, z)) for z in roots]
-
-
-def _residuals_ok(coeffs: list[int], roots: list[complex], tol: float) -> bool:
-    magnitudes = [complex(abs(c)) for c in coeffs]
-    return all(
-        res <= tol * abs(_eval_complex_poly(magnitudes, abs(z)))
-        for res, z in zip(_residuals(coeffs, roots), roots)
-    )
+        scale = scale * modulus + abs(c)
+    return abs(value), scale

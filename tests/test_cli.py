@@ -483,11 +483,16 @@ def test_spectrum_bound_holds_where_a_float_root_rounds_to_m(capsys, m, n):
     assert env["exactness"]["bound_ok"] == "exact"
 
 
-@pytest.mark.parametrize("m,n", [(204335, 57), (4216965034, 3)])
+@pytest.mark.parametrize(
+    "m,n", [(204335, 57), (4216965034, 3), (3, 190), (5, 201), (2, 1022)]
+)
 def test_spectrum_residuals_are_judged_at_horner_rounding_scale(capsys, m, n):
     # near the unit circle |p(z)| rounds to about 1e-16 m n, past the old
-    # bound 1e-9 (1 + |z|^(n+1)) once m n is about 10^7
+    # bound 1e-9 (1 + |z|^(n+1)) once m n is about 10^7; any n runs in
+    # bounded time up to the float-range cap, which (2, 1022) reaches
+    start = time.perf_counter()
     code, env = run_json(capsys, "spectrum", str(m), str(n))
+    assert time.perf_counter() - start < 10
     assert code == 0
     assert env["results"]["bound_ok"] is True
     for root in env["results"]["roots"]:
@@ -495,16 +500,24 @@ def test_spectrum_residuals_are_judged_at_horner_rounding_scale(capsys, m, n):
         assert root["residual"] <= 1e-9 * scale
 
 
-def test_spectrum_that_does_not_converge_names_the_cell_and_aberth(capsys, monkeypatch):
+def test_spectrum_root_with_residual_past_horner_scale_exits_3_naming_the_cell(
+    capsys, monkeypatch
+):
     from runlength import spectral
 
-    monkeypatch.setattr(spectral, "_ABERTH_SWEEPS", 1)
+    def perturbed(params, find_roots=spectral.find_roots):
+        roots = find_roots(params)
+        roots[0] *= 1 + 1e-6
+        return roots
+
+    monkeypatch.setattr(spectral, "find_roots", perturbed)
     code, out, err = run_cli(capsys, "spectrum", "2", "20")
     assert (code, out) == (3, "")
-    assert "spectrum at m=2, n=20: Aberth root refinement stopped after 1 of 1 sweeps" in err
+    assert "spectrum at m=2, n=20: root" in err
+    assert "times Horner's rounding scale" in err
 
 
-@pytest.mark.parametrize("m,n", [(5, 600), (1000000, 100)])
+@pytest.mark.parametrize("m,n", [(5, 600), (1000000, 100), (2, 1023), (5, 441)])
 def test_spectrum_above_the_root_finding_caps_exits_4_at_once(capsys, m, n):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "spectrum", str(m), str(n))

@@ -60,7 +60,7 @@ def test_transformed_is_char_times_x_minus_one(m, n):
 
 
 def test_find_roots_golden_ratio():
-    roots = spectral.find_roots([1, -1, -1])
+    roots = spectral.find_roots(Params(2, 2))
     assert len(roots) == 2
     moduli = sorted(abs(z) for z in roots)
     assert abs(moduli[1] - GOLDEN) < 1e-9
@@ -68,14 +68,14 @@ def test_find_roots_golden_ratio():
 
 
 def test_find_roots_linear():
-    (root,) = spectral.find_roots([1, -1])
+    (root,) = spectral.find_roots(Params(2, 1))
     assert abs(root - 1) < 1e-12
 
 
 def test_find_roots_tribonacci_constant():
     oracle = bisect_increasing(lambda x: x**3 - x**2 - x - 1, 1.0, 2.0)
     assert abs(oracle - 1.839286755) < 1e-8
-    roots = spectral.find_roots(spectral.char_poly(Params(2, 3)))
+    roots = spectral.find_roots(Params(2, 3))
     dominant = max(roots, key=abs)
     assert abs(dominant.real - oracle) < 1e-9
     assert abs(dominant.imag) < 1e-9
@@ -83,26 +83,55 @@ def test_find_roots_tribonacci_constant():
 
 def test_find_roots_input_validation():
     with pytest.raises(DomainError):
-        spectral.find_roots([5])
-    with pytest.raises(DomainError):
-        spectral.find_roots([0, 1, 2])
+        spectral.find_roots(Params(1, 3))
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_find_roots_matches_companion_eigenvalues(m, n):
-    coeffs = spectral.char_poly(Params(m, n))
-    ours = sorted_roots(spectral.find_roots(coeffs))
-    reference = sorted_roots(np.roots(coeffs).tolist())
+    ours = sorted_roots(spectral.find_roots(Params(m, n)))
+    reference = sorted_roots(np.roots(spectral.char_poly(Params(m, n))).tolist())
     assert len(ours) == len(reference)
     for a, b in zip(ours, reference):
         assert abs(a - b) < 1e-6
 
 
+@st.composite
+def admitted_cells(draw):
+    """(m, n) with n <= 300 inside the float-range cap (n+1) log10(m) <= 308."""
+    m = draw(st.one_of(st.integers(2, 12), st.sampled_from([100, 10**4, 204335, 10**6])))
+    n = draw(st.integers(1, min(300, math.floor(308 / math.log10(m)) - 1)))
+    return m, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell=admitted_cells())
+def test_find_roots_over_the_admitted_domain(cell):
+    m, n = cell
+    roots = spectral.find_roots(Params(m, n))
+    assert len(roots) == n
+    mirrored = [z.conjugate() for z in roots]
+    assert sorted(mirrored, key=lambda z: (z.real, z.imag)) == roots
+    *others, dominant = sorted(roots, key=abs)
+    if n == 1:
+        assert dominant == m - 1
+    else:
+        assert dominant.imag == 0 and m - 1 < dominant.real <= m
+    # the contraction lemma: every other root lies strictly inside the unit disk
+    assert all(abs(z) < 1 for z in others)
+    coeffs = spectral.char_poly(Params(m, n))
+    for z in roots:
+        value, scale = 0j, 0.0
+        for c in coeffs:
+            value, scale = value * z + c, scale * abs(z) + abs(c)
+        assert abs(value) <= spectral.ROOT_RESIDUAL_TOL * scale
+    assert abs(sum(roots) - (m - 1)) <= 1e-9 * m
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 3), (4, 2), (5, 6)])
 def test_transformed_roots_are_char_roots_plus_one(m, n):
-    char_roots = spectral.find_roots(spectral.char_poly(Params(m, n)))
-    transformed = spectral.find_roots(spectral.transformed_poly(Params(m, n)))
+    char_roots = spectral.find_roots(Params(m, n))
+    transformed = np.roots(spectral.transformed_poly(Params(m, n))).tolist()
     expected = sorted_roots(char_roots + [complex(1)])
     for a, b in zip(sorted_roots(transformed), expected):
         assert abs(a - b) < 1e-6
@@ -110,9 +139,10 @@ def test_transformed_roots_are_char_roots_plus_one(m, n):
 
 def test_degenerate_cell_has_double_root_at_one():
     # (m, n) = (2, 1): the transformed polynomial is -(x - 1)^2
-    roots = spectral.find_roots(spectral.transformed_poly(Params(2, 1)))
+    roots = np.roots(spectral.transformed_poly(Params(2, 1))).tolist()
     assert len(roots) == 2
     assert all(abs(z - 1) < 1e-4 for z in roots)
+    assert spectral.find_roots(Params(2, 1)) == [1]
 
 
 # ---------------------------------------------------------------- root bound
@@ -162,9 +192,7 @@ def test_dominant_root_can_sit_within_1e9_of_m():
 def test_dominant_root_increases_toward_two_for_binary():
     previous = 0.0
     for n in range(1, 13):
-        dominant = max(
-            abs(z) for z in spectral.find_roots(spectral.char_poly(Params(2, n)))
-        )
+        dominant = max(abs(z) for z in spectral.find_roots(Params(2, n)))
         assert previous < dominant < 2
         previous = dominant
     assert dominant > 1.999
@@ -183,7 +211,7 @@ def test_spectral_radius_examples():
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_radius_estimate_agrees_with_dominant_root(m, n):
     params = Params(m, n)
-    dominant = max(abs(z) for z in spectral.find_roots(spectral.char_poly(params)))
+    dominant = max(abs(z) for z in spectral.find_roots(params))
     assert abs(spectral.spectral_radius_estimate(params) - dominant / m) < 1e-6
 
 
@@ -197,7 +225,7 @@ def test_exact_bound_and_matrix_free_radius_over_the_domain(m, n):
     assert abs(spectral.spectral_radius_estimate(params) - largest) < 1e-8
 
 
-@pytest.mark.parametrize("m,n", [(5, 201), (5, 600), (10**6, 100), (10**8, 38)])
+@pytest.mark.parametrize("m,n", [(2, 1023), (5, 600), (10**6, 100), (10**8, 38)])
 def test_spectrum_refused_above_the_root_finding_caps(m, n):
     with pytest.raises(SizeCapError, match=f"m={m}, n={n}"):
         spectral.verify_root_bound(Params(m, n))
