@@ -55,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope, exit_code = args.handler(args)
+        _emit(envelope, args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -64,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     except (VerificationError, InvariantError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(envelope, args)
     return exit_code
 
 
@@ -152,17 +152,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_moments(args) -> tuple[dict, int]:
-    from . import transfer
-
     params = Params(args.m, args.n)
     subject = f"moments at m={params.m}, n={params.n}"
     # the second moment is the largest value
     closed_form.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
     results: dict = {"method": args.method}
     mean_and_second = attrgetter("expectation", "second_moment")
+
+    def matrix(p: Params) -> tuple:  # refuses m = 1
+        from . import transfer
+
+        return transfer.expectation(p), transfer.second_moment(p)
+
     routes = {
         "closed": lambda p: mean_and_second(closed_form.moment_report(p)),
-        "matrix": lambda p: (transfer.expectation(p), transfer.second_moment(p)),  # refuses m = 1
+        "matrix": matrix,
     }
     values = _run_routes(
         routes, args.method, params, results, "matrix route skipped for m = 1; closed form used"
@@ -450,7 +454,11 @@ def _emit(envelope: dict, args) -> None:
     else:
         text = _render_table(envelope)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -580,6 +580,17 @@ def test_out_file(tmp_path, capsys):
     assert env["results"]["expectation"] == "6"
 
 
+@pytest.mark.parametrize(
+    "where,reason",
+    [("missing/x.json", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, where, reason):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "moments", "2", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -617,10 +628,13 @@ def test_import_loads_no_route_module_and_a_sequence_loads_only_its_own():
         "print(sorted({'dataclasses', 'numpy', 'runlength.spectral', 'runlength.tree',\n"
         "              'runlength.transfer', 'runlength.ratmat'} & set(sys.modules)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert runlength.cli.main(['moments', '3', '5', '--method', 'closed']) == 0\n"
+        "print(sorted({'runlength.transfer', 'runlength.ratmat'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert runlength.cli.main(['sequence', 'A286778', '10']) == 0\n"
         "print(sorted({'runlength.spectral', 'runlength.tree'} & set(sys.modules)))\n"
     )
-    assert _run_fresh(code) == "[]\n[]\n"
+    assert _run_fresh(code) == "[]\n[]\n[]\n"
 
 
 def _run_fresh(code: str) -> str:

@@ -1,6 +1,8 @@
 """Monte Carlo reproducibility and agreement with the exact distribution."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,56 +10,66 @@ import pytest
 from runlength import transfer
 from runlength.errors import DomainError, SizeCapError
 from runlength.params import Params
-from runlength.simulate import SYMBOL_BUDGET, SymbolStream, generate_one, simulate
+from runlength.simulate import SYMBOL_BUDGET, simulate
 
 
-def test_symbol_stream_range_and_determinism():
-    a = SymbolStream(3, seed=99)
-    b = SymbolStream(3, seed=99)
-    draws = [a.draw() for _ in range(1000)]
-    assert draws == [b.draw() for _ in range(1000)]
-    assert set(draws) <= {0, 1, 2}
+# Recorded while the simulator still drew one symbol per method call; the
+# (params, trials, seed) -> report map is part of the contract.  The cells pin
+# the block keys and the chunk layout: (3, 2) spans three blocks, (7, 1) runs
+# one trial into its second block, and the last two take the extreme seeds.
+_GOLDEN = [
+    (3, 2, 20000, 31, "0x1.818ef34d6a162p+3",
+     "ec394da90bf31d8b7453122cb1bb217c3d0bff37e1a3e3d8537ee172236f59d8"),
+    (7, 1, 8193, 5, "0x1.c149f5b0527d7p+2",
+     "2c3cf3bf32cf7b7f03e544a86e48050346116d8d15ed5e78427f96e164cf7aa9"),
+    (2, 5, 50, 2**64 - 1, "0x1.a947ae147ae14p+5",
+     "40486bd5d5cba6a0cdff8d00a50718e56cedd604203684cafdc0b8ee574df342"),
+    (1, 4, 3, 0, "0x1.0000000000000p+2",
+     "afb1439f9066a679f94435b5db496ce5e44786cc717deccec95946d8d981ee10"),
+]
 
 
-def test_symbol_stream_is_roughly_uniform_with_rejection():
-    # m = 3 exercises the rejection path (2^64 is not divisible by 3)
-    stream = SymbolStream(3, seed=7)
-    counts = [0, 0, 0]
-    trials = 30000
-    for _ in range(trials):
-        counts[stream.draw()] += 1
-    expected = trials / 3
-    band = 4 * math.sqrt(trials * (1 / 3) * (2 / 3))
-    assert all(abs(c - expected) < band for c in counts)
+@pytest.mark.parametrize(
+    "m,n,trials,seed,mean_hex,histogram_sha256",
+    _GOLDEN,
+    ids=[f"m{c[0]}-n{c[1]}-t{c[2]}-s{c[3]}" for c in _GOLDEN],
+)
+def test_simulate_reports_match_the_recorded_stream_layout(
+    m, n, trials, seed, mean_hex, histogram_sha256
+):
+    report = simulate(Params(m, n), trials=trials, seed=seed)
+    items = repr(sorted(report.histogram.items())).encode()
+    assert hashlib.sha256(items).hexdigest() == histogram_sha256
+    assert report.mean.hex() == mean_hex
 
 
-def test_symbol_stream_refuses_alphabets_past_one_philox_word():
-    # above 2^64 no word is below the rejection threshold, so draw() never returned
-    with pytest.raises(DomainError, match=f"m={2**64 + 1}$"):
-        SymbolStream(2**64 + 1, seed=1)
-    assert 0 <= SymbolStream(2**64, seed=1).draw() < 2**64  # every word is a symbol
+def test_rejected_words_are_skipped_not_read_as_symbols(monkeypatch):
+    # a word is rejected with probability (2^64 mod m) / 2^64, so no seeded run
+    # meets one; the rule is pinned on crafted words instead.  For m = 3 the
+    # top word 2^64 - 1 is rejected, though read as a symbol it would be a 0.
+    import numpy as np
+
+    class CraftedWords:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, size):
+            return np.resize(np.array([2**64 - 1, 1, 0, 0], dtype=np.uint64), size)
+
+    monkeypatch.setattr(np.random, "Philox", CraftedWords)
+    assert simulate(Params(3, 2), trials=2, seed=0).histogram == {3: 2}
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_symbol_stream_refuses_seeds_outside_one_key_word(seed):
-    with pytest.raises(DomainError, match=f"got {seed}$"):
-        SymbolStream(2, seed=seed)
+def test_simulate_refuses_seeds_outside_one_key_word(seed):
+    message = f"seed must be in 0..2^64-1, one Philox key word, got {seed}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        simulate(Params(2, 2), 2, seed)
 
 
 def test_simulate_takes_the_largest_seed():
     report = simulate(Params(3, 2), trials=50, seed=2**64 - 1)
     assert report.seed == 2**64 - 1 and sum(report.histogram.values()) == 50
-
-
-def test_generate_one_needs_at_least_n_draws():
-    stream = SymbolStream(2, seed=5)
-    lengths = [generate_one(Params(2, 3), stream) for _ in range(500)]
-    assert min(lengths) >= 3
-
-
-def test_generate_one_single_symbol_is_deterministic():
-    stream = SymbolStream(1, seed=5)
-    assert [generate_one(Params(1, 4), stream) for _ in range(10)] == [4] * 10
 
 
 def test_simulate_single_symbol_exact():
@@ -116,9 +128,13 @@ def test_simulate_mean_and_variance_are_plausible():
     assert abs(report.variance - 22) / 22 < 0.10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_histogram_tracks_exact_distribution(n):
-    params = Params(2, n)
+# m = 3 does not divide 2^64, so these cells check the word-to-symbol map
+# where rejection is in force
+@pytest.mark.parametrize(
+    "m,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)], ids=["1", "2", "3", "m3-n1", "m3-n2"]
+)
+def test_histogram_tracks_exact_distribution(m, n):
+    params = Params(m, n)
     trials = 200000
     report = simulate(params, trials=trials, seed=90125)
     for k, count in report.histogram.items():
