@@ -9,7 +9,6 @@ results are serialized as integer or "p/q" strings, never as floats.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import math
 import re
@@ -151,26 +150,28 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- commands
 
 
+def _walk_moments(params: Params) -> tuple:  # refuses m = 1
+    from . import transfer
+
+    return transfer.expectation(params), transfer.second_moment(params)
+
+
+# a cell's mean and second moment by each route, for moments and verify;
+# the closed route raises InvariantError when the paper's identities fail
+_MOMENT_ROUTES = {
+    "closed": lambda p: attrgetter("expectation", "second_moment")(closed_form.moment_report(p)),
+    "matrix": _walk_moments,
+}
+
+
 def _cmd_moments(args) -> tuple[dict, int]:
     params = Params(args.m, args.n)
     subject = f"moments at m={params.m}, n={params.n}"
     # the second moment is the largest value
     closed_form.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
     results: dict = {"method": args.method}
-    mean_and_second = attrgetter("expectation", "second_moment")
-
-    def matrix(p: Params) -> tuple:  # refuses m = 1
-        from . import transfer
-
-        return transfer.expectation(p), transfer.second_moment(p)
-
-    routes = {
-        "closed": lambda p: mean_and_second(closed_form.moment_report(p)),
-        "matrix": matrix,
-    }
-    values = _run_routes(
-        routes, args.method, params, results, "matrix route skipped for m = 1; closed form used"
-    )
+    skip_note = "matrix route skipped for m = 1; closed form used"
+    values = _run_routes(_MOMENT_ROUTES, args.method, params, results, skip_note)
     expectation, second = _agree(subject, values)
     if len(values) > 1:
         results["routes_agree"] = True
@@ -248,8 +249,6 @@ def _agree(subject: str, values: dict):
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    from . import transfer
-
     if args.m_max < 1 or args.n_max < 1:
         raise DomainError("m_max and n_max must both be >= 1")
     checked = args.m_max * args.n_max
@@ -265,19 +264,19 @@ def _cmd_verify(args) -> tuple[dict, int]:
     failures = 0
     for m in range(1, args.m_max + 1):
         for n in range(1, args.n_max + 1):
-            params = Params(m, n)
-            expectation = closed_form.expectation(params)
-            variance = closed_form.variance(params)
-            closed_ok = (
-                expectation == closed_form.tree_edge_count(params)
-                and variance == (m - 1) * closed_form.path_sum(params)
-            )
-            matrix_ok = None
-            if n <= MATRIX_CHECK_MAX_N:
-                with contextlib.suppress(DomainError):  # the walk refuses m = 1
-                    walk_mean = transfer.expectation(params)
-                    walk_variance = transfer.second_moment(params) - walk_mean**2
-                    matrix_ok = (walk_mean, walk_variance) == (expectation, variance)
+            method = "both" if n <= MATRIX_CHECK_MAX_N else "closed"
+            closed_ok, matrix_ok = True, None
+            try:
+                values = _run_routes(_MOMENT_ROUTES, method, Params(m, n), {}, "")
+            except InvariantError:
+                closed_ok = False
+            else:
+                if len(values) > 1:  # the walk ran; it refuses m = 1
+                    try:
+                        _agree(f"moments at m={m}, n={n}", values)
+                        matrix_ok = True
+                    except VerificationError:
+                        matrix_ok = False
             ok = closed_ok and matrix_ok is not False
             failures += 0 if ok else 1
             cells.append(

@@ -1,8 +1,9 @@
 """Closed-form values for the waiting-time moments and tree path sums.
 
 Every function returns an exact integer (arbitrary precision, no overflow
-ceiling).  The rational prefactors in the variance and path-sum formulas
-always cancel; integrality is asserted rather than assumed.
+ceiling).  Each quantity has one derivation, so mean = T and Var = (m-1) S
+set the paper's formulas for the waiting time against counts over the tree;
+the second moment is variance + mean^2.  Every division is asserted exact.
 
 m = 1 conventions: the single-symbol process is deterministic, so the
 mean is n and the variance 0, and the height-n "tree" degenerates to a
@@ -61,20 +62,12 @@ def expectation(params: Params) -> int:
 
 
 def second_moment(params: Params) -> int:
-    """Second moment of the waiting time.
-
-    (m/(m-1)^2) * (2 m^(2n+1) - (2n+3) m^(n+1) + (2n+1) m^n + m - 1);
-    the prefactor cancels and the result is always an integer.
-    """
-    m, n = params.m, params.n
-    if m == 1:
-        return n * n
-    bracket = 2 * m ** (2 * n + 1) - (2 * n + 3) * m ** (n + 1) + (2 * n + 1) * m**n + m - 1
-    return _exact_div(m * bracket, (m - 1) ** 2)
+    """Second moment of the waiting time: variance + mean^2."""
+    return variance(params) + expectation(params) ** 2
 
 
 def variance(params: Params) -> int:
-    """Variance of the waiting time.
+    """Variance of the waiting time, by the paper's formula.
 
     (m/(m-1)^2) * (m^(2n+1) - (2n+1) m^(n+1) + (2n+1) m^n - 1); zero when
     m = 1 since the process is deterministic.
@@ -82,7 +75,8 @@ def variance(params: Params) -> int:
     m, n = params.m, params.n
     if m == 1:
         return 0
-    value = _exact_div(m * _moment_bracket(m, n), (m - 1) ** 2)
+    bracket = m ** (2 * n + 1) - (2 * n + 1) * m ** (n + 1) + (2 * n + 1) * m**n - 1
+    value = _exact_div(m * bracket, (m - 1) ** 2)
     assert value >= 0
     return value
 
@@ -90,23 +84,26 @@ def variance(params: Params) -> int:
 def path_sum(params: Params) -> int:
     """Sum of shared root-path lengths over all ordered node pairs.
 
-    (m/(m-1)^3) * (m^(2n+1) - (2n+1) m^(n+1) + (2n+1) m^n - 1) for m >= 2;
-    the m = 1 path graph gives n(n+1)(2n+1)/6.
+    Summed from the tree: the m^d edges into depth d each lie on both root
+    paths of (1 + m + ... + m^(n-d))^2 ordered pairs.  Times (m-1)^2 each
+    depth gives m^(2n+2-d) - 2 m^(n+1) + m^d, and over d = 1..n that is
+    m (m^(n+1) + 1) G - 2n m^(n+1) with G = 1 + m + ... + m^(n-1).  The
+    m = 1 path graph gives n(n+1)(2n+1)/6.
     """
     m, n = params.m, params.n
     if m == 1:
         return _exact_div(n * (n + 1) * (2 * n + 1), 6)
-    value = _exact_div(m * _moment_bracket(m, n), (m - 1) ** 3)
-    assert value >= 0
-    return value
+    top = m ** (n + 1)
+    return _exact_div(m * (top + 1) * geometric_sum(m, n) - 2 * n * top, (m - 1) ** 2)
 
 
 def log10_bound(params: Params, over: int) -> float:
     """log10 of m^(2n+2) / (m-1)^over, or of (n+1)^over at m = 1, in floats.
 
-    At over = 3 it bounds path_sum and at over = 2 half of second_moment:
-    their brackets are below m^(2n+1) and 2 m^(2n+1), and at m = 1 they are
-    n(n+1)(2n+1)/6 and n^2.
+    At over = 3 it bounds path_sum, as the m^d subtrees rooted at depth d
+    hold under m^(n-d+1)/(m-1) nodes each and sum_d m^-d < 1/(m-1).  At
+    over = 2 it bounds half of second_moment, as mean < m^(n+1)/(m-1) and
+    Var = (m-1) path_sum.  At m = 1 they are n(n+1)(2n+1)/6 and n^2.
     """
     m, n = params.m, params.n
     if m == 1:
@@ -131,10 +128,6 @@ def print_digit_limit() -> int:
     # Python 3.10.7 and later; 0 where lifted
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return min(limit or PRINT_DIGIT_CAP, PRINT_DIGIT_CAP)
-
-
-def _moment_bracket(m: int, n: int) -> int:
-    return m ** (2 * n + 1) - (2 * n + 1) * m ** (n + 1) + (2 * n + 1) * m**n - 1
 
 
 def a286778(n: int) -> int:
@@ -163,17 +156,16 @@ class MomentReport(
 
 
 def moment_report(params: Params) -> MomentReport:
-    """Evaluate all closed forms for one cell and check their identities."""
+    """All closed forms of one cell, checking mean = T and Var = (m - 1) S."""
+    mean, var = expectation(params), variance(params)
     report = MomentReport(
         params=params,
-        expectation=expectation(params),
-        second_moment=second_moment(params),
-        variance=variance(params),
+        expectation=mean,
+        second_moment=var + mean**2,  # second_moment(params) without recomputing both
+        variance=var,
         tree_edges=tree_edge_count(params),
         path_sum=path_sum(params),
     )
-    if report.variance != report.second_moment - report.expectation**2:
-        raise InvariantError(f"variance decomposition failed at {params}")
     if report.expectation != report.tree_edges:
         raise InvariantError(f"mean/edge-count identity failed at {params}")
     if report.variance != (params.m - 1) * report.path_sum:

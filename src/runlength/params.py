@@ -24,10 +24,10 @@ class Params(namedtuple("Params", "m n")):
         return super().__new__(cls, m, n)
 
     def require_multi_symbol(self) -> None:
-        """Reject m = 1; the walk-matrix machinery needs at least two symbols."""
+        """Reject m = 1, naming the cell; the walk and its roots need two symbols."""
         if self.m < 2:
             raise DomainError(
-                f"m must be >= 2 for matrix-based operations, got m={self.m}; "
+                f"m must be >= 2 for the walk and its roots, got m={self.m}, n={self.n}; "
                 "the single-symbol process is deterministic and is handled by "
                 "the closed-form module"
             )

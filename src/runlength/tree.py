@@ -117,11 +117,12 @@ def path_sum_edge_contrib(params: Params) -> TreeReport:
     subtree below it, so each edge contributes (subtree size)^2 and the
     m^d edges ending at depth d share one closed subtree size.
     """
-    tree = TreeModel(params)
     m, n = params.m, params.n
     # pairs_with_at_least[d]: ordered pairs whose shared path reaches depth d
     pairs_with_at_least = [0] * (n + 2)
+    edges = 0
     for d in range(1, n + 1):
+        edges += m**d
         subtree = geometric_sum(m, n - d + 1)
         pairs_with_at_least[d] = m**d * subtree**2
     total = sum(pairs_with_at_least[1 : n + 1])
@@ -131,7 +132,7 @@ def path_sum_edge_contrib(params: Params) -> TreeReport:
     )
     return TreeReport(
         params=params,
-        edge_count=tree.edge_count,
+        edge_count=edges,
         path_sum=total,
         per_depth=per_depth,
         method="edge_contrib",
@@ -163,10 +164,10 @@ def path_sum_depth_count(params: Params) -> TreeReport:
     m^d * (m^(2(n-d)+1) - 1)/(m - 1) as a structural self-check.
     """
     m, n = params.m, params.n
-    tree = TreeModel(params)
     per_depth = []
-    total = 0
+    total = edges = 0
     for d in range(1, n + 1):
+        edges += m**d
         count = pairs_at_depth(params, d)
         simplified = m**d * geometric_sum(m, 2 * (n - d) + 1)
         if simplified != count:
@@ -178,7 +179,7 @@ def path_sum_depth_count(params: Params) -> TreeReport:
         total += d * count
     return TreeReport(
         params=params,
-        edge_count=tree.edge_count,
+        edge_count=edges,
         path_sum=total,
         per_depth=tuple(per_depth),
         method="depth_count",

@@ -1,6 +1,7 @@
 """Command surface: envelopes, formats, exit codes."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -71,6 +72,20 @@ def test_moments_matrix_route_rejected_for_single_symbol(capsys):
     code, out, err = run_cli(capsys, "moments", "1", "4", "--method", "matrix")
     assert code == 2
     assert "closed" in err  # the error explains the closed-form fallback
+
+
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        ("moments 1 4 --method matrix", "m=1, n=4"),
+        ("distribution 1 3", "m=1, n=3"),
+        ("spectrum 1 3", "m=1, n=3"),
+    ],
+)
+def test_single_symbol_refusals_exit_2_naming_the_cell(capsys, argv, cell):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert cell in err
 
 
 def test_moments_bad_params_exit_2(capsys):
@@ -319,6 +334,19 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch):
     assert env["results"]["failures"] == 1
     bad = [c for c in env["results"]["cells"] if not c["ok"]]
     assert [(c["m"], c["n"]) for c in bad] == [(2, 2)]
+
+
+def test_verify_flags_every_cell_where_the_walk_disagrees(capsys, monkeypatch):
+    from runlength import transfer
+
+    monkeypatch.setattr(transfer, "second_moment", lambda params: 0)
+    code, env = run_json(capsys, "verify", "2", "9")
+    assert code == 3
+    assert env["results"]["failures"] == 8
+    for cell in env["results"]["cells"]:
+        walked = cell["m"] == 2 and cell["n"] <= 8
+        assert cell["closed_ok"] is True
+        assert cell["matrix_ok"] is (False if walked else None)
 
 
 # ------------------------------------------------------------------ sequence
@@ -602,6 +630,40 @@ def test_csv_scalar_fallback(capsys):
     assert code == 0
     rows = {r["field"]: r["value"] for r in csv.DictReader(io.StringIO(out))}
     assert rows["expectation"] == "6"
+
+
+# the SHA-256 of each command's full stdout: a change to how a route
+# computes its values must leave every printed byte as it was
+PINNED_OUTPUTS = (
+    (
+        "verify 6 8 --format json",
+        "c50f5de4b6eabada5229f9a7c0c92f1fa5a9e8430ec60c0329d07ee784d161e2",
+    ),
+    (
+        "verify 12 40 --format csv",
+        "6a4ec70e8fcf6aca0390c9235ac43ad80b4bfda0026e5afb0f8f2ab1a1722645",
+    ),
+    (
+        "sequence A286778 300 --format json",
+        "a5e7c0d6aeb484924af0984c7fc5fc613c72779f0e188aebbe189adbd7d86078",
+    ),
+    ("sequence S-m2 60", "c4b56dd68b495a7a982db3937b2c532f0f23d9514a058edec30b3d74226c05dd"),
+    (
+        "moments 7 25 --method both --format csv",
+        "bb7125e1d01c8b04268311c07da32a881e039dd6ac56b244fac36250c96cae17",
+    ),
+    (
+        "tree 4 5 --method all --format json",
+        "2147793b6ba3dc24dceb0a2e0c6b70099445e349cf89583f15d8c2d642798845",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_outputs_stay_byte_for_byte(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ start-up

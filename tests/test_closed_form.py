@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runlength import closed_form, transfer
 from runlength.errors import DomainError
@@ -140,3 +142,29 @@ def test_log10_bound_never_predicts_too_few_digits(m):
         assert len(str(closed_form.second_moment(params))) <= second_digits
         path_digits = math.floor(closed_form.log10_bound(params, over=3)) + 1
         assert len(str(closed_form.path_sum(params))) <= path_digits
+
+
+def tree_path_sum(m, n):
+    """Sum over depths d of m^d * (1 + m + ... + m^(n-d))^2, by Horner in m.
+
+    With h_k = 1 + m + ... + m^k, the sum at height k + 1 is m times the sum
+    at height k plus h_k^2.  The square steps as m^2 h^2 + 2 m h + 1, so no
+    step squares a large integer.
+    """
+    total = size = square = 0
+    for _ in range(n):
+        square = m * m * square + 2 * m * size + 1
+        size = m * size + 1
+        total = m * (total + square)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.one_of(st.integers(1, 10**6), st.sampled_from([2**64 + 3, 10**30 + 7])),
+    n=st.integers(1, 1500),
+)
+def test_path_sum_is_the_tree_sum_and_the_identities_hold_everywhere(m, n):
+    params = Params(m, n)
+    assert closed_form.path_sum(params) == tree_path_sum(m, n)
+    closed_form.moment_report(params)  # raises InvariantError if mean = T or Var = (m-1) S fails
