@@ -26,7 +26,6 @@ from collections import namedtuple
 
 from .errors import ConvergenceError, InvariantError, SizeCapError
 from .params import Params
-from .transfer import transition_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 ROOT_RESIDUAL_TOL = 1e-9
 RADIUS_AGREEMENT_TOL = 1e-6
@@ -212,3 +211,13 @@ def _residual(coeffs: list[int], z: complex) -> tuple[float, float]:
         value = value * z + c
         scale = scale * modulus + abs(c)
     return abs(value), scale
+
+
+def __getattr__(name: str):
+    # the dense walk matrix, looked up here by name only by the benchmark's
+    # tracer; resolved on lookup so that importing this module loads no transfer
+    if name == "transition_matrix":
+        from .transfer import transition_matrix
+
+        return transition_matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

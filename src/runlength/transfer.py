@@ -12,7 +12,8 @@ all moments come out as Fractions with no rounding at any stage.  The
 moments solve the walk's first-step equations, ``distribution`` runs the
 walk on integer counts of live strings per run length, and
 ``success_probability`` sums live-string counts over the last n steps; none
-of them builds a matrix.  The dense matrices remain as test references.
+of them builds a matrix.  The dense matrices remain as test references;
+each builder imports ``ratmat`` itself, so no command loads it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from fractions import Fraction
 from . import closed_form
 from .errors import DomainError, SizeCapError
 from .params import Params
-from .ratmat import RationalMatrix
-from .ratmat import matrix_times_column  # noqa: F401  traced by name in benchmarks/spans.py
-from .ratmat import row_times_matrix  # noqa: F401  traced by name in benchmarks/spans.py
 
 DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
 
@@ -39,6 +37,8 @@ def adjacency_matrix(params: Params) -> RationalMatrix:
     single advancing symbol, and the final column is zero (the walk ends
     there).
     """
+    from .ratmat import RationalMatrix
+
     params.require_multi_symbol()
     m, n = params.m, params.n
     size = n + 1
@@ -64,6 +64,8 @@ def fundamental_inverse(params: Params) -> RationalMatrix:
     This is the matrix the geometric series sum(W^k, k >= 0) converges to;
     it plays the role of the fundamental matrix of an absorbing chain.
     """
+    from .ratmat import RationalMatrix
+
     w = transition_matrix(params)
     return (RationalMatrix.identity(w.rows) - w).inverse()
 
@@ -75,6 +77,8 @@ def fundamental_inverse_pattern(params: Params) -> RationalMatrix:
     m^(n-i) - m^(j-i) above it.  Constructed without any elimination, so it
     serves as an independent cross-check of ``fundamental_inverse``.
     """
+    from .ratmat import RationalMatrix
+
     params.require_multi_symbol()
     m, n = params.m, params.n
     rows = []
@@ -186,9 +190,10 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
     )
 
 
-def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
+def refuse_oversized_table(params: Params, log_inverse_tail: float) -> float:
     """Raise SizeCapError when the table down to a tail bound of
-    exp(-log_inverse_tail) would print too large exact strings.
+    exp(-log_inverse_tail) would print too large exact strings; else
+    return the predicted characters of those strings.
 
     The residual stays 1 for n - 1 steps and then shrinks by a factor of
     about 1 - 1/E per step, E the mean, so about K = n + E * ln(1/tail)
@@ -214,6 +219,7 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> None:
             f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit} digits: "
             "raise the tail bound"
         )
+    return size
 
 
 def expectation(params: Params) -> Fraction:
@@ -257,3 +263,13 @@ def _first_step_moments(params: Params) -> tuple[Fraction, Fraction]:
     mean = Fraction(a_h, pivot)
     second = (2 * (sum_a + sum_b * mean) - a_h) / pivot  # A_0 of g, sum s_j = A_0 of h
     return mean, second
+
+
+def __getattr__(name: str):
+    # ratmat's products, looked up here by name only by the benchmark's
+    # tracer; resolved on lookup so that importing this module loads no ratmat
+    if name in ("matrix_times_column", "row_times_matrix"):
+        from . import ratmat
+
+        return getattr(ratmat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,6 +21,9 @@ from .errors import DomainError, InvariantError, SizeCapError
 from .params import Params
 
 PAIR_ENUM_NODE_CAP = 2500
+# pair enumeration compares n V^2 labels: (2, 10), the largest m >= 2 cell
+# under the node cap, compares 4.19e7; m = 1 passes this above n = 346
+PAIR_ENUM_WORK_CAP = 42_000_000
 
 
 class TreeModel(namedtuple("TreeModel", "params")):
@@ -74,15 +77,20 @@ def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeRep
 
     For each depth d the pairs sharing an ancestor at depth d are counted
     by comparing ancestor indices pairwise; a pair's shared length is the
-    number of depths at which it matches.  Cost is O(n * V^2), so the node
-    count is capped.
+    number of depths at which it matches.  Cost is O(n * V^2), so both the
+    node count and the n * V^2 comparisons are capped.
     """
     tree = TreeModel(params)
     v = tree.node_count
+    subject = f"pair enumeration at m={params.m}, n={params.n}"
+    advice = "use the edge-contribution or depth-count method instead"
     if v > cap:
+        raise SizeCapError(f"{subject} over {v} nodes exceeds the cap of {cap}; {advice}")
+    comparisons = params.n * v * v
+    if comparisons > PAIR_ENUM_WORK_CAP:
         raise SizeCapError(
-            f"pair enumeration at m={params.m}, n={params.n} over {v} nodes exceeds "
-            f"the cap of {cap}; use the edge-contribution or depth-count method instead"
+            f"{subject} would compare {comparisons} label pairs (n V^2 over {v} nodes), "
+            f"above the cap of {PAIR_ENUM_WORK_CAP}; {advice}"
         )
     import numpy as np
 

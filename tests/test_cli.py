@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import runlength
-from runlength import closed_form, tree
+from runlength import closed_form, transfer, tree
 from runlength.cli import main
+from runlength.commands.sequence import SEQUENCES
 from runlength.params import Params
 
 
@@ -152,6 +154,7 @@ def test_results_past_the_print_digit_limit_exit_4_up_front(capsys, argv, subjec
         ("simulate 2 20 1000 1", "simulate at m=2, n=20 with 1000 trials"),
         ("simulate 2 100000 2 1", "simulate at m=2, n=100000 with 2 trials"),
         (f"simulate {2**70} 1 2 1", f"simulate at m={2**70}, n=1 with 2 trials"),
+        ("tree 1 400 --method pair", "pair enumeration at m=1, n=400 would compare 64320400"),
     ],
 )
 def test_inputs_past_the_work_caps_exit_4_up_front(capsys, argv, subject):
@@ -162,7 +165,9 @@ def test_inputs_past_the_work_caps_exit_4_up_front(capsys, argv, subject):
     assert subject in err
 
 
-@pytest.mark.parametrize("argv", ["verify 8 12", "verify 1 20", "tree 1 100000 --method closed"])
+@pytest.mark.parametrize(
+    "argv", ["verify 8 12", "verify 1 20", "tree 1 100000 --method closed", "tree 1 400"]
+)
 def test_inputs_below_the_work_caps_still_run(capsys, argv):
     code, _, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
@@ -385,6 +390,9 @@ def test_sequence_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sequence", "A000001", "3"])
     assert exc.value.code == 2
+    # the parser lists the names itself, so that parsing loads no handler
+    offered = ", ".join(repr(name) for name in sorted(SEQUENCES))
+    assert f"(choose from {offered})" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- distribution
@@ -436,6 +444,17 @@ def test_distribution_refuses_oversized_table(capsys):
     assert code == 4
     assert out == ""
     assert "m=2, n=12" in err and "rows" in err
+
+
+def test_distribution_refuses_a_table_that_padding_would_push_past_the_cap(capsys):
+    # the exact rows alone are predicted at 1.5e7 characters, within the cap,
+    # so CSV and JSON run; the table pads every row to the widest, about 3e7
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "distribution", "2", "9", "--tail", "1e-3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "m=2, n=9 with tail 10^-3 as a table would print about 3.01e+07 characters" in err
+    assert transfer.refuse_oversized_table(Params(2, 9), 3 * math.log(10)) < 2 * 10**7
 
 
 @pytest.mark.parametrize(
@@ -688,7 +707,8 @@ def test_import_loads_no_route_module_and_a_sequence_loads_only_its_own():
         "import contextlib, io, sys\n"
         "import runlength, runlength.cli\n"
         "print(sorted({'dataclasses', 'numpy', 'runlength.spectral', 'runlength.tree',\n"
-        "              'runlength.transfer', 'runlength.ratmat'} & set(sys.modules)))\n"
+        "              'runlength.transfer', 'runlength.ratmat', 'runlength.commands'}\n"
+        "             & set(sys.modules)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert runlength.cli.main(['moments', '3', '5', '--method', 'closed']) == 0\n"
         "print(sorted({'runlength.transfer', 'runlength.ratmat'} & set(sys.modules)))\n"
@@ -697,6 +717,42 @@ def test_import_loads_no_route_module_and_a_sequence_loads_only_its_own():
         "print(sorted({'runlength.spectral', 'runlength.tree'} & set(sys.modules)))\n"
     )
     assert _run_fresh(code) == "[]\n[]\n[]\n"
+
+
+# each command's launch, and the handler modules it loads: its own, and for
+# verify the moments module whose route table it runs
+LAUNCHES = (
+    ("moments 3 5", {"moments"}),
+    ("tree 3 3", {"tree"}),
+    ("verify 3 4", {"verify", "moments"}),
+    ("sequence A286778 10", {"sequence"}),
+    ("distribution 4 2 --tail 1e-9", {"distribution"}),
+    ("spectrum 2 20", {"spectrum"}),
+    ("simulate 2 2 10 1", set()),
+)
+
+
+@pytest.mark.parametrize("argv, handlers", LAUNCHES, ids=[a for a, _ in LAUNCHES])
+def test_a_launch_loads_its_own_handler_and_no_dense_matrix(argv, handlers):
+    # run as `python -m runlength.cli` runs it: as __main__, so a handler that
+    # imported runlength.cli would compile cli.py a second time
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['runlength', *{argv.split()!r}]\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runpy.run_module('runlength.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    loaded = set(_run_fresh(code).split())
+    assert {m for m in loaded if m.startswith("runlength.commands.")} == {
+        f"runlength.commands.{name}" for name in handlers
+    }
+    assert not {"runlength.cli", "runlength.ratmat"} & loaded
+    if argv.startswith("spectrum"):
+        assert not {"runlength.transfer", "fractions"} & loaded
 
 
 def _run_fresh(code: str) -> str:
