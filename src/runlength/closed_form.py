@@ -23,7 +23,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, InvariantError, SizeCapError
+from .errors import DomainError, InvariantError, refuse_above
 from .params import Params
 
 PRINT_DIGIT_CAP = 4300  # digits per printed integer; the interpreter's default
@@ -115,12 +115,8 @@ def log10_bound(params: Params, over: int) -> float:
 def refuse_unprintable(subject: str, log10_largest: float) -> None:
     """Raise SizeCapError when the largest integer a result prints, about
     10^log10_largest, has more digits than the limit per printed int."""
-    digit_limit = print_digit_limit()
-    if log10_largest >= digit_limit:  # an integer has floor(log10) + 1 digits
-        raise SizeCapError(
-            f"{subject} would print integers of about {log10_largest + 1:.0f} digits, "
-            f"past the limit of {digit_limit} digits per printed integer"
-        )
+    digits = math.floor(log10_largest) + 1  # an integer has floor(log10) + 1 digits
+    refuse_above(subject, digits, "print {}-digit integers", print_digit_limit())
 
 
 def print_digit_limit() -> int:

@@ -12,10 +12,10 @@ from ..errors import DomainError, SizeCapError, VerificationError
 from ..params import Params
 
 
-def run_routes(routes: dict, method: str, params: Params, results: dict, skip_note: str) -> dict:
+def run_routes(routes: dict, method: str, params: Params, results: dict, skip_note) -> dict:
     """Each route's value by name, for the route ``method`` names or else for all.
 
-    A route run alone raises its refusal; among all, one that refuses is skipped.
+    A route run alone raises its refusal; among all, one that refuses is noted by skip_note(it).
     """
     if method in routes:
         return {method: routes[method](params)}
@@ -23,8 +23,8 @@ def run_routes(routes: dict, method: str, params: Params, results: dict, skip_no
     for name, route in routes.items():
         try:
             values[name] = route(params)
-        except (DomainError, SizeCapError):
-            results["note"] = skip_note
+        except (DomainError, SizeCapError) as refusal:
+            results["note"] = skip_note(refusal)
     return values
 
 

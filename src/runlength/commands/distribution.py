@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 from .. import closed_form, transfer
-from ..errors import DomainError, SizeCapError, VerificationError
+from ..errors import DomainError, VerificationError
 from ..params import Params
 
 # Fraction builds 10^|exponent| for a decimal exponent, which takes seconds
@@ -25,9 +25,7 @@ def run(args) -> tuple:
     params = Params(args.m, args.n)
     params.require_multi_symbol()
     tail_bound = _parse_tail(args.tail, params)
-    if args.format == "table" and 0 < tail_bound < 1:  # distribution rejects any other tail
-        _refuse_padded_table(params, tail_bound)
-    table = transfer.distribution(params, tail_bound)
+    table = transfer.distribution(params, tail_bound, padded=args.format == "table")
     expectation = closed_form.expectation(params)
     truncated_mean = table.truncated_mean()
     gap_bound = table.mean_gap_bound(expectation)
@@ -60,25 +58,6 @@ def run(args) -> tuple:
         "mean_gap_bound": "exact",
     }
     return params, results, exactness, 0
-
-
-def _refuse_padded_table(params: Params, tail_bound: Fraction) -> None:
-    """Raise SizeCapError when the table format would print too much.
-
-    The table pads every row to the widest one, the last, so it prints
-    about twice the characters of the exact rows that
-    ``transfer.refuse_oversized_table`` predicts and caps.
-    """
-    log_inverse_tail = math.log(tail_bound.denominator) - math.log(tail_bound.numerator)
-    size = 2 * transfer.refuse_oversized_table(params, log_inverse_tail)
-    if size > transfer.DISTRIBUTION_CHAR_CAP:
-        raise SizeCapError(
-            f"distribution at m={params.m}, n={params.n} with tail "
-            f"10^-{log_inverse_tail / math.log(10):.6g} as a table would print about "
-            f"{size:.3g} characters, every row padded to the widest; the cap is "
-            f"{transfer.DISTRIBUTION_CHAR_CAP:.3g} characters: use --format csv or json, "
-            "or raise the tail bound"
-        )
 
 
 def _parse_tail(text: str, params: Params) -> Fraction:

@@ -5,22 +5,20 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from .. import closed_form, tree
-from ..errors import SizeCapError
+from ..errors import refuse_above
 from ..params import Params
 from . import agree, run_routes
 
 TREE_MAX_N = 100_000  # the depth and edge routes loop n times; n = 10^6 took 5.9 s on 2 vCPUs
+# the cap that refused pair enumeration, as --method all notes it
+_CAPS = {tree.PAIR_ENUM_NODE_CAP: "node-count", tree.PAIR_ENUM_WORK_CAP: "comparison"}
 
 
 def run(args) -> tuple:
     params = Params(args.m, args.n)
     subject = f"tree at m={params.m}, n={params.n}"
     closed_form.refuse_unprintable(subject, closed_form.log10_bound(params, over=3))
-    if params.n > TREE_MAX_N:
-        raise SizeCapError(
-            f"{subject} is refused: the counting routes loop n times, and n is "
-            f"capped at {TREE_MAX_N}"
-        )
+    refuse_above(subject, params.n, "loop {} times in the depth and edge routes", TREE_MAX_N)
     results: dict = {"method": args.method}
     routes = {
         "depth": tree.path_sum_depth_count,
@@ -33,7 +31,7 @@ def run(args) -> tuple:
         ),
     }
     reports = run_routes(
-        routes, args.method, params, results, "skipped above node-count cap: pair"
+        routes, args.method, params, results, lambda r: f"skipped above {_CAPS[r.cap]} cap: pair"
     )
     edge_count, path_sum = agree(
         subject, {name: (r.edge_count, r.path_sum) for name, r in reports.items()}

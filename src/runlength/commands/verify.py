@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .. import closed_form
-from ..errors import DomainError, InvariantError, SizeCapError, VerificationError
+from ..errors import DomainError, InvariantError, VerificationError, refuse_above
 from ..params import Params
 from . import agree, run_routes
 from .moments import ROUTES
@@ -17,15 +17,12 @@ VERIFY_MAX_CELLS = 40_000  # verify 300 300 (90 000 cells) took 3.2 s on 2 vCPUs
 def run(args) -> tuple:
     if args.m_max < 1 or args.n_max < 1:
         raise DomainError("m_max and n_max must both be >= 1")
-    checked = args.m_max * args.n_max
+    subject = f"verify up to m={args.m_max}, n={args.n_max}"
+    refuse_above(subject, args.m_max * args.n_max, "check {} cells", VERIFY_MAX_CELLS)
     # the (m_max, n_max) cell's second moment is the largest value a cell forms
     log10_largest = math.log10(2) + closed_form.log10_bound(Params(args.m_max, args.n_max), over=2)
-    if checked > VERIFY_MAX_CELLS or log10_largest >= closed_form.PRINT_DIGIT_CAP:
-        raise SizeCapError(
-            f"verify up to m={args.m_max}, n={args.n_max} is refused: it would check "
-            f"{checked} cells, with integers of up to about {log10_largest + 1:.0f} digits; "
-            f"the caps are {VERIFY_MAX_CELLS} cells and {closed_form.PRINT_DIGIT_CAP} digits"
-        )
+    digits = math.floor(log10_largest) + 1
+    refuse_above(subject, digits, "form {}-digit integers", closed_form.PRINT_DIGIT_CAP)
     cells = []
     failures = 0
     for m in range(1, args.m_max + 1):
@@ -33,7 +30,7 @@ def run(args) -> tuple:
             method = "both" if n <= MATRIX_CHECK_MAX_N else "closed"
             closed_ok, matrix_ok = True, None
             try:
-                values = run_routes(ROUTES, method, Params(m, n), {}, "")
+                values = run_routes(ROUTES, method, Params(m, n), {}, lambda _: "")
             except InvariantError:
                 closed_ok = False
             else:

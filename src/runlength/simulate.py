@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 
 from . import closed_form
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, refuse_above
 from .params import Params
 
 BLOCK_TRIALS = 8192
@@ -56,14 +56,11 @@ def simulate(params: Params, trials: int, seed: int) -> SimReport:
         )
     # the mean is at least m^n, and for m >= 2, m^k passes the budget once k is
     # the budget's bit length, so the exact mean is formed only where a run can pass
-    if (
-        params.m ** min(params.n, SYMBOL_BUDGET.bit_length()) > SYMBOL_BUDGET
-        or trials * closed_form.expectation(params) > SYMBOL_BUDGET
-    ):
-        raise SizeCapError(
-            f"simulate at m={params.m}, n={params.n} with {trials} trials expects more "
-            f"than {SYMBOL_BUDGET:.3g} symbols, the budget per run: lower the trials or n"
-        )
+    mean = params.m ** min(params.n, SYMBOL_BUDGET.bit_length())
+    mean = mean if mean > SYMBOL_BUDGET else closed_form.expectation(params)
+    subject = f"simulate at m={params.m}, n={params.n} with {trials} trials"
+    unit, advice = "draw at least {} symbols on average", "lower the trials or n"
+    refuse_above(subject, trials * mean, unit, SYMBOL_BUDGET, advice)
     if not 0 <= seed < _WORD_RANGE:
         raise DomainError(f"seed must be in 0..2^64-1, one Philox key word, got {seed}")
     import numpy as np

@@ -24,7 +24,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import ConvergenceError, InvariantError, SizeCapError
+from .errors import ConvergenceError, InvariantError, refuse_above
 from .params import Params
 
 ROOT_RESIDUAL_TOL = 1e-9
@@ -126,11 +126,9 @@ def verify_root_bound(params: Params, tol: float = ROOT_RESIDUAL_TOL) -> RootRep
     """
     params.require_multi_symbol()
     m, n = params.m, params.n
-    if (n + 1) * math.log10(m) > _FLOAT_MAX_LOG10:
-        raise SizeCapError(
-            f"spectrum at m={m}, n={n} is refused: float residuals need "
-            f"m^(n+1) <= 10^{_FLOAT_MAX_LOG10}"
-        )
+    advice = f"float residuals need m^(n+1) <= 10^{_FLOAT_MAX_LOG10}"
+    subject, unit = f"spectrum at m={m}, n={n}", "have log10 m^(n+1) = {}"
+    refuse_above(subject, (n + 1) * math.log10(m), unit, _FLOAT_MAX_LOG10, advice)
     coeffs = char_poly(params)
     at_m = _eval_int_poly(coeffs, m)
     if at_m <= 0:

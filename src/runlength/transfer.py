@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import closed_form
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, refuse_above
 from .params import Params
 
 DISTRIBUTION_CHAR_CAP = 2 * 10**7  # predicted characters of exact row strings
@@ -144,7 +144,7 @@ class DistributionTable(namedtuple("DistributionTable", "params probs tail mean_
         return self.tail * (last_k + Fraction(expectation))
 
 
-def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
+def distribution(params: Params, tail_bound: Fraction, padded: bool = False) -> DistributionTable:
     """Emit p_n, p_{n+1}, ... until the exact residual falls to tail_bound.
 
     Counts strings rather than probabilities.  After k symbols, ``alive``
@@ -154,13 +154,14 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
     so the ring ``restarts`` holds the live count for every run length
     0..n-1: slot (k - j) mod n has run length j.  The slot leaving the
     ring is the count at run n-1, which completes at the next symbol.
+    ``padded`` sizes the rows as the table format prints them.
     """
     tail_bound = Fraction(tail_bound)
     if not 0 < tail_bound < 1:
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound}")
     params.require_multi_symbol()
     refuse_oversized_table(
-        params, math.log(tail_bound.denominator) - math.log(tail_bound.numerator)
+        params, math.log(tail_bound.denominator) - math.log(tail_bound.numerator), padded
     )
     m, n = params.m, params.n
     restarts = [1] + [0] * (n - 1)
@@ -190,10 +191,10 @@ def distribution(params: Params, tail_bound: Fraction) -> DistributionTable:
     )
 
 
-def refuse_oversized_table(params: Params, log_inverse_tail: float) -> float:
-    """Raise SizeCapError when the table down to a tail bound of
-    exp(-log_inverse_tail) would print too large exact strings; else
-    return the predicted characters of those strings.
+def refuse_oversized_table(params: Params, log_inverse_tail: float, padded: bool = False) -> None:
+    """Raise SizeCapError when the table down to a tail bound of exp(-log_inverse_tail)
+    would print too large exact strings, or, with every row ``padded`` to the widest as
+    the table format prints them, twice their characters.
 
     The residual stays 1 for n - 1 steps and then shrinks by a factor of
     about 1 - 1/E per step, E the mean, so about K = n + E * ln(1/tail)
@@ -210,16 +211,14 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float) -> float:
         rows = math.inf
     digits = rows * math.log10(m)
     size = rows * digits
-    digit_limit = closed_form.print_digit_limit()
-    if size > DISTRIBUTION_CHAR_CAP or digits > digit_limit:
-        raise SizeCapError(
-            f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g} "
-            f"would print about {rows:.3g} rows and {size:.3g} characters of exact "
-            f"fractions, with numbers of up to {digits:.3g} digits; the caps are "
-            f"{DISTRIBUTION_CHAR_CAP:.3g} characters and {digit_limit} digits: "
-            "raise the tail bound"
-        )
-    return size
+    subject = f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g}"
+    advice = "raise the tail bound"
+    unit = f"print about {{}} characters in {rows:.4g} rows of exact fractions"
+    refuse_above(subject, size, unit, DISTRIBUTION_CHAR_CAP, advice)
+    refuse_above(subject, digits, "print {}-digit numbers", closed_form.print_digit_limit(), advice)
+    if padded:
+        subject, advice = f"{subject} as a table", f"use --format csv or json, or {advice}"
+        refuse_above(subject, 2 * size, "print about {} characters", DISTRIBUTION_CHAR_CAP, advice)
 
 
 def expectation(params: Params) -> Fraction:

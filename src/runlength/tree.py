@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .closed_form import geometric_sum
-from .errors import DomainError, InvariantError, SizeCapError
+from .errors import DomainError, InvariantError, refuse_above
 from .params import Params
 
 PAIR_ENUM_NODE_CAP = 2500
@@ -72,7 +72,7 @@ class TreeReport(namedtuple("TreeReport", "params edge_count path_sum per_depth 
         return self
 
 
-def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeReport:
+def path_sum_pair_enum(params: Params) -> TreeReport:
     """Path sum by enumerating all V^2 ordered pairs.
 
     For each depth d the pairs sharing an ancestor at depth d are counted
@@ -84,14 +84,8 @@ def path_sum_pair_enum(params: Params, cap: int = PAIR_ENUM_NODE_CAP) -> TreeRep
     v = tree.node_count
     subject = f"pair enumeration at m={params.m}, n={params.n}"
     advice = "use the edge-contribution or depth-count method instead"
-    if v > cap:
-        raise SizeCapError(f"{subject} over {v} nodes exceeds the cap of {cap}; {advice}")
-    comparisons = params.n * v * v
-    if comparisons > PAIR_ENUM_WORK_CAP:
-        raise SizeCapError(
-            f"{subject} would compare {comparisons} label pairs (n V^2 over {v} nodes), "
-            f"above the cap of {PAIR_ENUM_WORK_CAP}; {advice}"
-        )
+    refuse_above(subject, v, "enumerate the pairs of {} nodes", PAIR_ENUM_NODE_CAP, advice)
+    refuse_above(subject, params.n * v * v, "compare {} label pairs", PAIR_ENUM_WORK_CAP, advice)
     import numpy as np
 
     n = params.n

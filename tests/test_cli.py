@@ -141,7 +141,8 @@ def test_results_past_the_print_digit_limit_exit_4_up_front(capsys, argv, subjec
     assert time.perf_counter() - start < 1
     assert code == 4
     assert out == ""
-    assert subject in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
+    assert f"{subject} would print " in err
+    assert f"-digit integers, above the cap of {sys.get_int_max_str_digits()}" in err
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,87 @@ def test_print_digit_cap_holds_with_the_interpreter_limit_lifted():
     assert "sequence A286778 with 30000 terms" in done.stderr
 
 
+# each size cap's edge: (argv just past it, argv one step inside or None where
+# that takes over 0.5 s, the refused subject, its predicted cost, the cap)
+CAP_EDGES = (
+    ("moments 2 7141", "moments 2 7140", "moments at m=2, n=7141", "4301-digit integers", "4300"),
+    ("tree 2 11 --method pair", "tree 2 10 --method pair",
+     "pair enumeration at m=2, n=11", "4095 nodes", "2500"),
+    ("tree 1 347 --method pair", "tree 1 346 --method pair",
+     "pair enumeration at m=1, n=347", "42023088 label pairs", "42000000"),
+    ("tree 1 100001", "tree 1 100000", "tree at m=1, n=100001", "100001 times", "100000"),
+    ("verify 200 201", None, "verify up to m=200, n=201", "40200 cells", "40000"),
+    ("verify 2 7141", None, "verify up to m=2, n=7141", "4301-digit integers", "4300"),
+    ("simulate 2 2 3333334 1", None,
+     "simulate at m=2, n=2 with 3333334 trials", "20000004 symbols", "20000000"),
+    ("simulate 2 25 2 1", None,
+     "simulate at m=2, n=25 with 2 trials", "67108864 symbols", "20000000"),
+    ("spectrum 2 1023", "spectrum 2 1022", "spectrum at m=2, n=1023", "308.3", "308"),
+    ("distribution 2 12", None,
+     "distribution at m=2, n=12 with tail 10^-6", "3.855e+09 characters in 1.132e+05 rows",
+     "20000000"),
+    ("distribution 2 9 --tail 1e-3", None,
+     "distribution at m=2, n=9 with tail 10^-3 as a table", "3.008e+07 characters", "20000000"),
+    ("distribution 1000000 1 --tail 999/1000", None,
+     "distribution at m=1000000, n=1 with tail 10^-0.000434512", "6009-digit numbers", "4300"),
+)
+
+
+@pytest.mark.parametrize(
+    "past, inside, subject, cost, cap", CAP_EDGES, ids=[edge[0] for edge in CAP_EDGES]
+)
+def test_each_cap_refuses_just_past_its_edge_naming_subject_cost_and_cap(
+    capsys, past, inside, subject, cost, cap
+):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *past.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert f"error: {subject} would " in err
+    assert cost in err and f", above the cap of {cap}" in err
+    if inside is not None:
+        assert run_cli(capsys, *inside.split())[0] == 0
+
+
+def test_a_cost_too_long_to_print_in_full_is_named_as_a_power_of_ten(capsys):
+    # 10^5000 cells: str() refuses an int of more than 4300 digits
+    code, out, err = run_cli(capsys, "verify", str(10**2500), str(10**2500))
+    assert (code, out) == (4, "")
+    assert "would check 10^5000 cells, above the cap of 40000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate 2 2 3333333 1",
+        "verify 40 1000",
+        "sequence A286778 7000",
+        "distribution 2 9 --tail 1e-3 --format csv",
+        "tree 1 100000",
+        "spectrum 2 1022",
+    ],
+)
+def test_heaviest_admitted_input_of_each_cap_runs_within_time_and_memory(argv):
+    source_root = str(Path(runlength.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "runlength.cli", *argv.split()],
+        env=dict(os.environ, PYTHONPATH=source_root),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
+        if time.perf_counter() - start > 30:
+            child.kill()
+        time.sleep(0.01)
+    seconds = time.perf_counter() - start
+    _, status, usage = reaped
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert (child.returncode, child.stderr.read()) == (0, b"")
+    child.stderr.close()
+    assert seconds < 10
+    assert usage.ru_maxrss < 300 * 1024  # KiB on Linux
+
+
 # ---------------------------------------------------------------------- tree
 
 
@@ -218,11 +300,13 @@ def test_tree_pair_over_cap_exits_4(capsys):
 
 
 def test_tree_all_skips_pair_above_cap(capsys):
-    code, env = run_json(capsys, "tree", "2", "12", "--method", "all")
-    assert code == 0
-    assert env["results"]["note"] == "skipped above node-count cap: pair"
-    assert "pair" not in env["results"]["methods_used"]
-    assert env["results"]["methods_agree"] is True
+    # (2, 12) passes the node cap; (1, 400) has 401 nodes but passes the comparison cap
+    for m, n, cap in (("2", "12", "node-count"), ("1", "400", "comparison")):
+        code, env = run_json(capsys, "tree", m, n, "--method", "all")
+        assert code == 0
+        assert env["results"]["note"] == f"skipped above {cap} cap: pair"
+        assert "pair" not in env["results"]["methods_used"]
+        assert env["results"]["methods_agree"] is True
 
 
 def test_tree_all_runs_edge_above_pair_cap(capsys):
@@ -453,8 +537,9 @@ def test_distribution_refuses_a_table_that_padding_would_push_past_the_cap(capsy
     code, out, err = run_cli(capsys, "distribution", "2", "9", "--tail", "1e-3")
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
-    assert "m=2, n=9 with tail 10^-3 as a table would print about 3.01e+07 characters" in err
-    assert transfer.refuse_oversized_table(Params(2, 9), 3 * math.log(10)) < 2 * 10**7
+    assert "m=2, n=9 with tail 10^-3 as a table would print about 3.008e+07 characters" in err
+    assert "above the cap of 20000000" in err
+    transfer.refuse_oversized_table(Params(2, 9), 3 * math.log(10))  # the exact rows pass
 
 
 @pytest.mark.parametrize(

@@ -264,7 +264,8 @@ def test_distribution_properties(cell):
 )
 def test_distribution_refuses_oversized_tables_up_front(m, n, bound):
     start = time.perf_counter()
-    with pytest.raises(SizeCapError, match=f"m={m}, n={n} .* characters"):
+    refusal = f"m={m}, n={n} .*(characters|-digit numbers).*, above the cap of"
+    with pytest.raises(SizeCapError, match=refusal):
         transfer.distribution(Params(m, n), bound)
     assert time.perf_counter() - start < 1
 

@@ -92,9 +92,7 @@ def test_pair_enum_matches_per_pair_walk(m, n):
 
 def test_pair_enum_cap():
     with pytest.raises(SizeCapError, match="cap"):
-        tree.path_sum_pair_enum(Params(2, 2), cap=6)
-    with pytest.raises(SizeCapError):
-        tree.path_sum_pair_enum(Params(2, 12))  # 8191 nodes > default cap
+        tree.path_sum_pair_enum(Params(2, 12))  # 8191 nodes > the node cap
 
 
 def test_edge_contrib_examples():
