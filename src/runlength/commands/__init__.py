@@ -12,20 +12,18 @@ from ..errors import DomainError, SizeCapError, VerificationError
 from ..params import Params
 
 
-def run_routes(routes: dict, method: str, params: Params, results: dict, skip_note) -> dict:
-    """Each route's value by name, for the route ``method`` names or else for all.
-
-    A route run alone raises its refusal; among all, one that refuses is noted by skip_note(it).
-    """
+def run_routes(routes: dict, method: str, params: Params) -> tuple:
+    """Each route's value by name, for the route ``method`` names or else for all, and
+    the refusal of a route skipped among all, or None; a route run alone raises its refusal."""
     if method in routes:
-        return {method: routes[method](params)}
-    values = {}
+        return {method: routes[method](params)}, None
+    values, skipped = {}, None
     for name, route in routes.items():
         try:
             values[name] = route(params)
         except (DomainError, SizeCapError) as refusal:
-            results["note"] = skip_note(refusal)
-    return values
+            skipped = refusal
+    return values, skipped
 
 
 def agree(subject: str, values: dict):

@@ -30,8 +30,9 @@ def run(args) -> tuple:
     # the second moment is the largest value
     closed_form.refuse_unprintable(subject, math.log10(2) + closed_form.log10_bound(params, over=2))
     results: dict = {"method": args.method}
-    skip_note = "matrix route skipped for m = 1; closed form used"
-    values = run_routes(ROUTES, args.method, params, results, lambda _: skip_note)
+    values, skipped = run_routes(ROUTES, args.method, params)
+    if skipped:
+        results["note"] = "matrix route skipped for m = 1; closed form used"
     expectation, second = agree(subject, values)
     if len(values) > 1:
         results["routes_agree"] = True

@@ -30,15 +30,16 @@ def run(args) -> tuple:
             per_depth=(),
         ),
     }
-    reports = run_routes(
-        routes, args.method, params, results, lambda r: f"skipped above {_CAPS[r.cap]} cap: pair"
-    )
+    reports, skipped = run_routes(routes, args.method, params)
+    if skipped:
+        results["note"] = f"skipped above {_CAPS[skipped.cap]} cap: pair"
     edge_count, path_sum = agree(
         subject, {name: (r.edge_count, r.path_sum) for name, r in reports.items()}
     )
+    counted = {name: r.per_depth for name, r in reports.items() if r.per_depth}
+    per_depth = agree(subject, counted) if counted else ()  # the closed route counts none
     if len(reports) > 1:
         results["methods_agree"] = True
-    per_depth = next(iter(reports.values())).per_depth  # empty when closed ran alone
     if per_depth:
         results["per_depth"] = [{"depth": d, "pairs": count} for d, count in per_depth]
     results["methods_used"] = list(reports)

@@ -160,9 +160,12 @@ def distribution(params: Params, tail_bound: Fraction, padded: bool = False) -> 
     if not 0 < tail_bound < 1:
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound}")
     params.require_multi_symbol()
-    refuse_oversized_table(
-        params, math.log(tail_bound.denominator) - math.log(tail_bound.numerator), padded
+    num, den = tail_bound.numerator, tail_bound.denominator
+    # ln(1/tail); near 1 the difference of the logs cancels to 0.0
+    log_inverse_tail = (
+        math.log1p((den - num) / num) if 2 * num > den else math.log(den) - math.log(num)
     )
+    refuse_oversized_table(params, log_inverse_tail, padded)
     m, n = params.m, params.n
     restarts = [1] + [0] * (n - 1)
     alive = 1
@@ -204,11 +207,11 @@ def refuse_oversized_table(params: Params, log_inverse_tail: float, padded: bool
     printed int.
     """
     m, n = params.m, params.n
-    log_inverse_tail = max(0.0, log_inverse_tail)
-    try:
-        rows = n + closed_form.expectation(params) * log_inverse_tail
+    try:  # the mean m (m^n - 1)/(m - 1) in floats: as an exact int, m^n takes seconds at n = 10^9
+        mean = m / (m - 1) * (float(m) ** n - 1)
     except OverflowError:  # the mean is beyond float range
-        rows = math.inf
+        mean = math.inf
+    rows = n + mean * log_inverse_tail if mean < math.inf else math.inf  # inf * 0 is nan
     digits = rows * math.log10(m)
     size = rows * digits
     subject = f"distribution at m={m}, n={n} with tail 10^-{log_inverse_tail / math.log(10):.6g}"

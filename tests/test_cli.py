@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,15 @@ def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def _depth_counts_moved(params: Params, edge_route=tree.path_sum_edge_contrib):
+    """The edge route's report with one pair moved from depth 2 to depth 1 and one to
+    depth 3: T, S and the sum of d * count stay, so only the per-depth counts tell."""
+    report = edge_route(params)
+    shift = {1: 1, 2: -2, 3: 1}
+    per_depth = tuple((d, count + shift.get(d, 0)) for d, count in report.per_depth)
+    return tree.TreeReport(params, report.edge_count, report.path_sum, per_depth, "edge")
+
+
 @pytest.mark.parametrize(
     "attribute,wrong,argv,named",
     [
@@ -115,6 +125,8 @@ def test_moments_route_disagreement_exits_3(capsys, monkeypatch):
          "tree 3 2", "tree at m=3, n=2: the depth and edge routes disagree"),
         ("closed_form.path_sum", lambda params: 0, "sequence A286778 3",
          "A286778 term 1: the a286778 and path_sum routes disagree"),
+        ("tree.path_sum_edge_contrib", _depth_counts_moved, "tree 3 4",
+         "tree at m=3, n=4: the depth and edge routes disagree: ((1, "),
     ],
 )
 def test_route_disagreement_exits_3_naming_the_cell_and_both_routes(
@@ -125,6 +137,76 @@ def test_route_disagreement_exits_3_naming_the_cell_and_both_routes(
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (3, "")
     assert named in err
+
+
+# what routes that cross-check each other may share: the cell, the tree
+# report's constructor (which checks sum d * count = S) and two integer helpers
+_SHARED_BY_ROUTES = {
+    "closed_form.py:geometric_sum",
+    "closed_form.py:_exact_div",
+    "tree.py:TreeReport.__new__",
+    "tree.py:TreeReport.__new__.<locals>.<genexpr>",
+}
+
+
+def _reached(call) -> set:
+    """The package functions that ``call()`` enters, as "<file>:<qualified name>"."""
+    package = Path(runlength.__file__).parent
+    reached = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(str(package)):
+            reached.add(f"{Path(code.co_filename).relative_to(package)}:{code.co_qualname}")
+
+    call()  # once first, so that imports on first use are not counted
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return reached
+
+
+def _route_tables(monkeypatch, capsys) -> dict:
+    """Each cross-checked command's routes at one cell, as calls without arguments."""
+    from runlength.commands import moments, sequence
+    from runlength.commands import tree as tree_command
+
+    tree_routes = {}
+    real = tree_command.run_routes
+
+    def capture(routes, method, params):  # the tree command builds its table as it runs
+        tree_routes.update(routes)
+        return real(routes, method, params)
+
+    monkeypatch.setattr(tree_command, "run_routes", capture)
+    assert run_cli(capsys, "tree", "3", "4", "--method", "all")[0] == 0
+    tables = {
+        "moments": {name: partial(route, Params(3, 5)) for name, route in moments.ROUTES.items()},
+        "tree": {name: partial(route, Params(3, 4)) for name, route in tree_routes.items()},
+    }
+    for name in ("A286778", "T-m2"):
+        tables[name] = {
+            route: partial(
+                getattr(closed_form, route),
+                7 if route in sequence._INDEX_ROUTES else Params(2, 7),
+            )
+            for route in SEQUENCES[name][1]
+        }
+    return tables
+
+
+def test_cross_checked_routes_share_only_the_cell_records_and_integer_helpers(
+    capsys, monkeypatch
+):
+    for command, routes in _route_tables(monkeypatch, capsys).items():
+        reached = {name: _reached(call) for name, call in routes.items()}
+        for name, functions in reached.items():
+            others = set().union(*(reached[other] for other in reached if other != name))
+            shared = {f for f in functions & others if not f.startswith("params.py:")}
+            assert shared <= _SHARED_BY_ROUTES, (command, name, shared - _SHARED_BY_ROUTES)
+            assert functions - others, f"{command}: the {name} route reaches nothing of its own"
 
 
 @pytest.mark.parametrize(
@@ -543,6 +625,33 @@ def test_distribution_refuses_a_table_that_padding_would_push_past_the_cap(capsy
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        # the exact mean m (m^n - 1)/(m - 1) takes seconds and hundreds of MB to build
+        ("distribution 2 1000000000", "m=2, n=1000000000 with tail 10^-6 would print about inf"),
+        ("distribution 3 300000000", "m=3, n=300000000 with tail 10^-6 would print about inf"),
+        # ln(1/tail) is about 1e-20: a difference of logs cancels to 0.0, predicting n rows
+        ("distribution 10 30 --tail 99999999999999999999/100000000000000000000",
+         "m=10, n=30 with tail 10^-4.34294e-21 would print about 1.235e+20 characters in 1.111e+10"
+         " rows"),
+        ("distribution 10 30 --tail 0.99999999999999999999",
+         "m=10, n=30 with tail 10^-4.34294e-21 would print about 1.235e+20 characters in 1.111e+10"
+         " rows"),
+    ],
+)
+def test_a_table_of_a_huge_mean_or_a_tail_near_1_is_refused_at_once(argv, named):
+    source_root = str(Path(runlength.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "runlength.cli", *argv.split()],
+        env=dict(os.environ, PYTHONPATH=source_root), capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (4, "")
+    assert f"error: distribution at {named}" in done.stderr
+
+
+@pytest.mark.parametrize(
     "tail, code, named",
     [
         ("1e-10000000", 4, "m=2, n=2 with tail 10^-1e+07"),
@@ -760,6 +869,27 @@ PINNED_OUTPUTS = (
         "tree 4 5 --method all --format json",
         "2147793b6ba3dc24dceb0a2e0c6b70099445e349cf89583f15d8c2d642798845",
     ),
+    (
+        "distribution 3 4 --tail 1e-3",
+        "a41f5c1e9ff9f5f0726c1722dcc0fa9b296c4b0ae1bc7d5440ef1592fd76e15d",
+    ),
+    (
+        "distribution 2 6 --tail 1/1000 --format csv",
+        "f620cdd996d5607689aa84166706e2876b53a354142e9d4a1e247f68fcd2f0c1",
+    ),
+    (
+        "distribution 4 3 --tail 1e-4 --format json",
+        "1a1a99c5c8f5253552c5f1c7b44de843044839b35a7c483e1195b984343ab3aa",
+    ),
+    # integer sums and correctly rounded divisions: the floats are the same everywhere
+    (
+        "simulate 2 5 3000 7 --format json",
+        "da9d2b9f54bd340f7a68d81df0ff00a09cc3579d0bcd1d06c3a3824d32dfb59e",
+    ),
+    (
+        "simulate 7 1 9000 11 --format csv",
+        "8564f38396bf8c6d4a5e06b86e92747eed53134cb18b1b8f57e45b59f3f044d7",
+    ),
 )
 
 
@@ -768,6 +898,23 @@ def test_outputs_stay_byte_for_byte(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "m, n, char_coeffs, transformed_coeffs",
+    [
+        (3, 5, [1, -2, -2, -2, -2, -2], [-1, 3, 0, 0, 0, 0, -2]),
+        (7, 3, [1, -6, -6, -6], [-1, 7, 0, 0, -6]),
+    ],
+)
+def test_spectrum_exact_fields_stay_the_same(capsys, m, n, char_coeffs, transformed_coeffs):
+    # the float roots go through libm and may differ across platforms; these may not
+    code, env = run_json(capsys, "spectrum", str(m), str(n))
+    assert code == 0
+    results = env["results"]
+    assert results["char_coeffs"] == char_coeffs
+    assert results["transformed_coeffs"] == transformed_coeffs
+    assert results["bound_ok"] is True
 
 
 # ------------------------------------------------------------------ start-up
