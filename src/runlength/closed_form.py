@@ -121,8 +121,7 @@ def refuse_unprintable(subject: str, log10_largest: float) -> None:
 
 def print_digit_limit() -> int:
     """The interpreter's limit on digits per printed int, never above the fixed cap."""
-    # Python 3.10.7 and later; 0 where lifted
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()  # 0 where lifted
     return min(limit or PRINT_DIGIT_CAP, PRINT_DIGIT_CAP)
 
 

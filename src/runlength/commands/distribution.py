@@ -61,27 +61,31 @@ def run(args) -> tuple:
 
 
 def _parse_tail(text: str, params: Params) -> Fraction:
-    """The --tail bound as a Fraction.
+    """The --tail bound as a Fraction in (0, 1); any other value exits 2, named as written.
 
     A decimal with a huge exponent is judged from its exponent and its
     mantissa first, without building 10^exponent: below
     10^-_TAIL_EXPONENT_CHECK the table is refused (exit 4), and a value
-    that is not positive or is far above 1 is rejected (exit 2).
+    that is not positive or is far above 1 is rejected.
     """
+    outside = DomainError(f"--tail must be in (0, 1), got {text!r}")
     match = _SCIENTIFIC.fullmatch(text)
     exponent = 0.0 if match is None else float(match["exponent"])  # inf if huge
     if abs(exponent) > _TAIL_EXPONENT_CHECK:
         mantissa = _parse_fraction(match["mantissa"], "--tail")
         if mantissa <= 0:
-            raise DomainError(f"--tail must be in (0, 1), got {text!r}")
+            raise outside
         log10_tail = (
             exponent + math.log10(mantissa.numerator) - math.log10(mantissa.denominator)
         )
         if log10_tail > _TAIL_EXPONENT_CHECK:
-            raise DomainError(f"--tail must be in (0, 1), got {text!r}")
+            raise outside
         if log10_tail < -_TAIL_EXPONENT_CHECK:
             transfer.refuse_oversized_table(params, -log10_tail * math.log(10))
-    return _parse_fraction(text, "--tail")
+    tail = _parse_fraction(text, "--tail")
+    if not 0 < tail < 1:
+        raise outside
+    return tail
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:

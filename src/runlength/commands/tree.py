@@ -10,8 +10,6 @@ from ..params import Params
 from . import agree, run_routes
 
 TREE_MAX_N = 100_000  # the depth and edge routes loop n times; n = 10^6 took 5.9 s on 2 vCPUs
-# the cap that refused pair enumeration, as --method all notes it
-_CAPS = {tree.PAIR_ENUM_NODE_CAP: "node-count", tree.PAIR_ENUM_WORK_CAP: "comparison"}
 
 
 def run(args) -> tuple:
@@ -32,7 +30,7 @@ def run(args) -> tuple:
     }
     reports, skipped = run_routes(routes, args.method, params)
     if skipped:
-        results["note"] = f"skipped above {_CAPS[skipped.cap]} cap: pair"
+        results["note"] = "skipped above comparison cap: pair"
     edge_count, path_sum = agree(
         subject, {name: (r.edge_count, r.path_sum) for name, r in reports.items()}
     )

@@ -8,11 +8,7 @@ class DomainError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """An input is too large for the requested method; ``cap`` is the cap it passed."""
-
-    def __init__(self, message: str, cap):
-        super().__init__(message)
-        self.cap = cap
+    """An input is too large for the requested method."""
 
 
 class VerificationError(RuntimeError):
@@ -32,7 +28,7 @@ def refuse_above(subject: str, cost, unit: str, cap, advice: str = "") -> None:
     would <unit, the cost in its {}>, above the cap of <cap>: <advice>"."""
     if cost > cap:
         message = f"{subject} would {unit.format(_figure(cost))}, above the cap of {cap}"
-        raise SizeCapError(f"{message}: {advice}" if advice else message, cap)
+        raise SizeCapError(f"{message}: {advice}" if advice else message)
 
 
 def _figure(value) -> str:

@@ -50,19 +50,20 @@ def simulate(params: Params, trials: int, seed: int) -> SimReport:
     Runs expecting more than ``SYMBOL_BUDGET`` symbols, trials times the
     exact mean, are refused before any is drawn.
     """
+    cell = f"simulate at m={params.m}, n={params.n}"
     if trials < 2:
         raise DomainError(
-            f"at least 2 trials are needed for a sample variance, got {trials}"
+            f"{cell}: at least 2 trials are needed for a sample variance, got {trials}"
         )
     # the mean is at least m^n, and for m >= 2, m^k passes the budget once k is
     # the budget's bit length, so the exact mean is formed only where a run can pass
     mean = params.m ** min(params.n, SYMBOL_BUDGET.bit_length())
     mean = mean if mean > SYMBOL_BUDGET else closed_form.expectation(params)
-    subject = f"simulate at m={params.m}, n={params.n} with {trials} trials"
+    subject = f"{cell} with {trials} trials"
     unit, advice = "draw at least {} symbols on average", "lower the trials or n"
     refuse_above(subject, trials * mean, unit, SYMBOL_BUDGET, advice)
     if not 0 <= seed < _WORD_RANGE:
-        raise DomainError(f"seed must be in 0..2^64-1, one Philox key word, got {seed}")
+        raise DomainError(f"{cell}: seed must be in 0..2^64-1, one Philox key word, got {seed}")
     import numpy as np
 
     m, n = params.m, params.n

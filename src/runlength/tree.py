@@ -4,7 +4,8 @@ S adds up, over ALL ordered node pairs (a, b) including a = b and both
 orientations, the number of edges the root paths of a and b share -- i.e.
 the depth of their lowest common ancestor.  Three routes compute it here:
 
-* ``path_sum_pair_enum``   -- examine every ordered pair (the oracle),
+* ``path_sum_pair_enum``   -- compare every ordered pair's ancestor labels
+  at each depth (the oracle),
 * ``path_sum_edge_contrib`` -- each edge is shared by (subtree size)^2 pairs,
 * ``path_sum_depth_count``  -- count pairs whose LCA sits at each depth.
 
@@ -20,9 +21,8 @@ from .closed_form import geometric_sum
 from .errors import DomainError, InvariantError, refuse_above
 from .params import Params
 
-PAIR_ENUM_NODE_CAP = 2500
-# pair enumeration compares n V^2 labels: (2, 10), the largest m >= 2 cell
-# under the node cap, compares 4.19e7; m = 1 passes this above n = 346
+# pair enumeration compares n V^2 labels, and holds V^2 bools per depth:
+# (2, 10) compares 4.19e7, (6479, 1) 4.199e7; m = 1 passes the cap above n = 346
 PAIR_ENUM_WORK_CAP = 42_000_000
 
 
@@ -39,22 +39,6 @@ class TreeModel(namedtuple("TreeModel", "params")):
     @property
     def edge_count(self) -> int:
         return self.node_count - 1
-
-    def ancestors(self, node: int) -> list[int]:
-        """Ancestors of ``node`` ordered by depth 1..depth(node), node included."""
-        self._check_node(node)
-        chain = []
-        while node:
-            chain.append(node)
-            node = (node - 1) // self.params.m
-        chain.reverse()
-        return chain
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.node_count:
-            raise DomainError(
-                f"node {node} out of range for a tree with {self.node_count} nodes"
-            )
 
 
 class TreeReport(namedtuple("TreeReport", "params edge_count path_sum per_depth method")):
@@ -73,31 +57,28 @@ class TreeReport(namedtuple("TreeReport", "params edge_count path_sum per_depth 
 
 
 def path_sum_pair_enum(params: Params) -> TreeReport:
-    """Path sum by enumerating all V^2 ordered pairs.
+    """Path sum by comparing the labels of all V^2 ordered pairs at each depth.
 
-    For each depth d the pairs sharing an ancestor at depth d are counted
-    by comparing ancestor indices pairwise; a pair's shared length is the
-    number of depths at which it matches.  Cost is O(n * V^2), so both the
-    node count and the n * V^2 comparisons are capped.
+    At depth d each node's label is its depth-d ancestor, or -1 above depth
+    d, lifted from d = n up one level per depth by parent(i) = (i - 1) // m.
+    The pairs sharing an ancestor at depth d are the matching labels other
+    than -1; a pair's shared length is the number of depths it matches at.
+    The n * V^2 comparisons, O(n * V^2) time and O(V^2) memory, are capped.
     """
     tree = TreeModel(params)
-    v = tree.node_count
-    subject = f"pair enumeration at m={params.m}, n={params.n}"
+    m, n, v = params.m, params.n, tree.node_count
+    subject = f"pair enumeration at m={m}, n={n}"
     advice = "use the edge-contribution or depth-count method instead"
-    refuse_above(subject, v, "enumerate the pairs of {} nodes", PAIR_ENUM_NODE_CAP, advice)
-    refuse_above(subject, params.n * v * v, "compare {} label pairs", PAIR_ENUM_WORK_CAP, advice)
+    refuse_above(subject, n * v * v, "compare {} label pairs", PAIR_ENUM_WORK_CAP, advice)
     import numpy as np
 
-    n = params.n
-    chains = [tree.ancestors(node) for node in range(v)]
-    at_depth = np.full((n + 1, v), -1, dtype=np.int64)
-    for node, chain in enumerate(chains):
-        for d, ancestor in enumerate(chain, start=1):
-            at_depth[d, node] = ancestor
+    label = np.full(v, -1, dtype=np.int64)
     count_at_least = [0] * (n + 2)
-    for d in range(1, n + 1):
-        col = at_depth[d]
-        matches = (col[:, None] == col[None, :]) & (col[:, None] >= 0)
+    for d in range(n, 0, -1):
+        first, past = geometric_sum(m, d), geometric_sum(m, d + 1)  # depth d's nodes
+        label[past:] = (label[past:] - 1) // m
+        label[first:past] = np.arange(first, past)
+        matches = (label[:, None] == label[None, :]) & (label[:, None] >= 0)
         count_at_least[d] = int(matches.sum())
     per_depth = tuple(
         (d, count_at_least[d] - count_at_least[d + 1]) for d in range(1, n + 1)

@@ -112,7 +112,7 @@ def test_criterion_04_tree_oracle_equivalence():
         for m in range(2, 11):
             for n in range(1, 11):
                 params = Params(m, n)
-                if tree.TreeModel(params).node_count > tree.PAIR_ENUM_NODE_CAP:
+                if n * tree.TreeModel(params).node_count ** 2 > tree.PAIR_ENUM_WORK_CAP:
                     continue
                 expected = closed_form.path_sum(params)
                 by_pairs = tree.path_sum_pair_enum(params)

@@ -274,7 +274,7 @@ def test_print_digit_cap_holds_with_the_interpreter_limit_lifted():
 CAP_EDGES = (
     ("moments 2 7141", "moments 2 7140", "moments at m=2, n=7141", "4301-digit integers", "4300"),
     ("tree 2 11 --method pair", "tree 2 10 --method pair",
-     "pair enumeration at m=2, n=11", "4095 nodes", "2500"),
+     "pair enumeration at m=2, n=11", "184459275 label pairs", "42000000"),
     ("tree 1 347 --method pair", "tree 1 346 --method pair",
      "pair enumeration at m=1, n=347", "42023088 label pairs", "42000000"),
     ("tree 1 100001", "tree 1 100000", "tree at m=1, n=100001", "100001 times", "100000"),
@@ -326,6 +326,7 @@ def test_a_cost_too_long_to_print_in_full_is_named_as_a_power_of_ten(capsys):
         "sequence A286778 7000",
         "distribution 2 9 --tail 1e-3 --format csv",
         "tree 1 100000",
+        "tree 6479 1 --method pair",
         "spectrum 2 1022",
     ],
 )
@@ -382,11 +383,11 @@ def test_tree_pair_over_cap_exits_4(capsys):
 
 
 def test_tree_all_skips_pair_above_cap(capsys):
-    # (2, 12) passes the node cap; (1, 400) has 401 nodes but passes the comparison cap
-    for m, n, cap in (("2", "12", "node-count"), ("1", "400", "comparison")):
+    # 12 * 8191^2 and 400 * 401^2 label pairs: both pass the comparison cap
+    for m, n in (("2", "12"), ("1", "400")):
         code, env = run_json(capsys, "tree", m, n, "--method", "all")
         assert code == 0
-        assert env["results"]["note"] == f"skipped above {cap} cap: pair"
+        assert env["results"]["note"] == "skipped above comparison cap: pair"
         assert "pair" not in env["results"]["methods_used"]
         assert env["results"]["methods_agree"] is True
 
@@ -658,6 +659,10 @@ def test_a_table_of_a_huge_mean_or_a_tail_near_1_is_refused_at_once(argv, named)
         ("1e10000000", 2, "(0, 1), got '1e10000000'"),
         ("0e-10000000", 2, "(0, 1), got '0e-10000000'"),
         ("-1e-10000000", 2, "(0, 1), got '-1e-10000000'"),
+        ("1.5", 2, "--tail must be in (0, 1), got '1.5'"),
+        ("0", 2, "--tail must be in (0, 1), got '0'"),
+        ("1", 2, "--tail must be in (0, 1), got '1'"),
+        ("-1/2", 2, "--tail must be in (0, 1), got '-1/2'"),
     ],
 )
 def test_distribution_judges_huge_tail_exponent_at_once(capsys, tail, code, named):
@@ -673,7 +678,7 @@ def test_distribution_huge_tail_exponent_with_long_mantissa_is_admitted(capsys):
     # 1 followed by 10005 zeros, times 10^-10010, is 10^-5; a mantissa that
     # long parses only with the interpreter's int-to-str digit limit lifted
     tail = "1" + "0" * 10005 + "e-10010"
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
@@ -797,7 +802,8 @@ def test_simulate_seed_outside_one_philox_word_exits_2_naming_it(capsys, seed):
     # masked to 64 bits, -5 and 2^64 - 5 would print the same histogram
     code, out, err = run_cli(capsys, "simulate", "3", "2", "50", str(seed))
     assert (code, out) == (2, "")
-    assert f"seed must be in 0..2^64-1, one Philox key word, got {seed}" in err
+    assert "simulate at m=3, n=2: seed must be in 0..2^64-1, one Philox key word, " \
+        f"got {seed}" in err
 
 
 # ------------------------------------------------------------ output plumbing

@@ -62,7 +62,7 @@ def test_rejected_words_are_skipped_not_read_as_symbols(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_simulate_refuses_seeds_outside_one_key_word(seed):
-    message = f"seed must be in 0..2^64-1, one Philox key word, got {seed}"
+    message = f"simulate at m=2, n=2: seed must be in 0..2^64-1, one Philox key word, got {seed}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         simulate(Params(2, 2), 2, seed)
 
@@ -81,7 +81,7 @@ def test_simulate_single_symbol_exact():
 
 
 def test_simulate_requires_two_trials():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^simulate at m=2, n=2: at least 2 trials"):
         simulate(Params(2, 2), trials=1, seed=0)
 
 

@@ -7,10 +7,21 @@ from runlength.errors import DomainError, SizeCapError
 from runlength.params import Params
 
 
+def ancestors(model, node):
+    """Ancestors of ``node`` ordered by depth 1..depth(node), node included."""
+    if not 0 <= node < model.node_count:
+        raise DomainError(f"node {node} out of range for a tree with {model.node_count} nodes")
+    chain = []
+    while node:
+        chain.append(node)
+        node = (node - 1) // model.params.m
+    return chain[::-1]
+
+
 def lca_node(model, a, b):
     """Test-local lowest common ancestor by comparing root-to-node chains."""
-    chain_a = [0] + model.ancestors(a)
-    chain_b = [0] + model.ancestors(b)
+    chain_a = [0] + ancestors(model, a)
+    chain_b = [0] + ancestors(model, b)
     ancestor = 0
     for x, y in zip(chain_a, chain_b):
         if x != y:
@@ -21,7 +32,7 @@ def lca_node(model, a, b):
 
 def shared_path_length(model, a, b):
     """Edges common to the root paths of a and b: the depth of their LCA."""
-    return len(model.ancestors(lca_node(model, a, b)))
+    return len(ancestors(model, lca_node(model, a, b)))
 
 
 # ----------------------------------------------------------------- TreeModel
@@ -36,13 +47,13 @@ def test_node_count_and_edges():
 
 def test_parent_and_depth():
     model = tree.TreeModel(Params(2, 2))
-    assert model.ancestors(3) == [1, 3] and model.ancestors(6) == [2, 6]
-    assert model.ancestors(0) == []
-    assert [len(model.ancestors(v)) for v in range(7)] == [0, 1, 1, 2, 2, 2, 2]
+    assert ancestors(model, 3) == [1, 3] and ancestors(model, 6) == [2, 6]
+    assert ancestors(model, 0) == []
+    assert [len(ancestors(model, v)) for v in range(7)] == [0, 1, 1, 2, 2, 2, 2]
     with pytest.raises(DomainError):
-        model.ancestors(7)
+        ancestors(model, 7)
     with pytest.raises(DomainError):
-        model.ancestors(-1)
+        ancestors(model, -1)
 
 
 def test_shared_path_length_with_root_is_zero():
@@ -68,7 +79,7 @@ def test_shared_path_length_symmetry(m, n):
     for a in range(model.node_count):
         for b in range(a, model.node_count):
             assert shared_path_length(model, a, b) == shared_path_length(model, b, a)
-        assert shared_path_length(model, a, a) == len(model.ancestors(a))
+        assert shared_path_length(model, a, a) == len(ancestors(model, a))
 
 
 # ------------------------------------------------------------------- methods
@@ -82,7 +93,7 @@ def test_pair_enum_examples():
     assert tree.path_sum_pair_enum(Params(2, 1)).path_sum == 2
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (4, 2), (1, 5), (5, 1)])
 def test_pair_enum_matches_per_pair_walk(m, n):
     model = tree.TreeModel(Params(m, n))
     nodes = range(model.node_count)
@@ -92,7 +103,7 @@ def test_pair_enum_matches_per_pair_walk(m, n):
 
 def test_pair_enum_cap():
     with pytest.raises(SizeCapError, match="cap"):
-        tree.path_sum_pair_enum(Params(2, 12))  # 8191 nodes > the node cap
+        tree.path_sum_pair_enum(Params(2, 12))  # 12 * 8191^2 comparisons > the cap
 
 
 def test_edge_contrib_examples():
@@ -121,7 +132,7 @@ def test_depth_count_examples():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_three_routes_and_closed_form_agree(m, n):
     params = Params(m, n)
-    if tree.TreeModel(params).node_count > tree.PAIR_ENUM_NODE_CAP:
+    if n * tree.TreeModel(params).node_count ** 2 > tree.PAIR_ENUM_WORK_CAP:
         pytest.skip("above pair-enumeration cap")
     reports = [
         tree.path_sum_pair_enum(params),
@@ -175,7 +186,7 @@ def test_three_case_split_matches_enumeration(m, n):
         for a in nodes:
             for b in nodes:
                 c = lca_node(model, a, b)
-                if len(model.ancestors(c)) != d:
+                if len(ancestors(model, c)) != d:
                     continue
                 owners.add(c)
                 if a == c and b == c:
